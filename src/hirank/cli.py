@@ -78,7 +78,7 @@ def build_parser() -> _Parser:
         help="relevance profile, alpha:A or weights:w1,..,wL",
     )
     p.add_argument("--ks", default="1,4", help="recall cutoffs")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="has no effect; must be >= 1")
     p.add_argument("--out", required=True, type=Path, help="report JSON destination")
 
     p = sub.add_parser("train", help="train embeddings on a dataset directory")
@@ -157,9 +157,7 @@ def cmd_eval(args) -> int:
             part = build_partition(taxonomy, query_id, candidates)
             part = assign_relevance(part, profile)
             rankings.append(ScoredRanking.from_partition(part, scores))
-        report = evaluate_dataset(
-            rankings, ks=ks, depth=taxonomy.depth, threads=args.threads
-        )
+        report = evaluate_dataset(rankings, ks=ks, depth=taxonomy.depth)
     except (FileNotFoundError, HirankError, ValueError) as exc:
         print(f"hirank eval: {exc}", file=sys.stderr)
         return DATA_EXIT

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     IndexOutOfRangeError,
@@ -26,6 +25,11 @@ from .errors import (
     UnknownClassError,
     ZeroVectorError,
 )
+
+
+def _sigmoid(t):
+    """Logistic sigmoid through tanh, which cannot overflow for any finite t."""
+    return 0.5 + 0.5 * np.tanh(0.5 * t)
 
 
 @dataclass(frozen=True)
@@ -79,9 +83,9 @@ def heaviside_upper(t, params: SmoothHeavisideParams = SmoothHeavisideParams()):
     gradient instead of a saturated one.
     """
     t = np.asarray(t, dtype=np.float64)
-    sig = expit(t / params.tau)
+    sig = _sigmoid(t / params.tau)
     dsig = sig * (1.0 - sig) / params.tau
-    tail = params.rho * (t - params.delta) + expit(params.delta / params.tau) + 0.5
+    tail = params.rho * (t - params.delta) + _sigmoid(params.delta / params.tau) + 0.5
     value = np.where(t < 0, sig, np.where(t <= params.delta, sig + 0.5, tail))
     slope = np.where(t <= params.delta, dsig, params.rho)
     return value, slope

@@ -6,14 +6,16 @@ level it derives from. Rank comparisons use strict score inequality, so tied
 scores produce no inversion in either direction; operations that need a
 concrete list order (cutoff metrics, set intersections) sort by descending
 score and break ties by ascending candidate id.
+
+Every kernel reads one sorted pass over the list (see `_SortedPass`):
+sorting once and counting strictly-above candidates with binary searches
+keeps each query at O(n log n) time and O(n) memory.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,9 +79,34 @@ class ScoredRanking:
 
     def sorted_order(self) -> list[int]:
         """Candidate indices by descending score, ties by ascending id."""
-        return sorted(
-            range(len(self)), key=lambda i: (-self.scores[i], self.candidate_ids[i])
-        )
+        return _sorted_pass(self).order.tolist()
+
+
+def _strict_above(desc: np.ndarray) -> np.ndarray:
+    """For each entry of a non-increasing array, how many entries are strictly greater."""
+    return len(desc) - np.searchsorted(desc[::-1], desc, side="right")
+
+
+class _SortedPass(NamedTuple):
+    """One query's candidates in list order: descending score, ties by ascending id."""
+
+    order: np.ndarray  # candidate indices
+    scores: np.ndarray
+    relevance: np.ndarray
+    levels: np.ndarray
+    rank: np.ndarray  # 1 + the number of candidates scored strictly above
+
+
+def _sorted_pass(r: ScoredRanking) -> _SortedPass:
+    """The pass `_query_metrics` shares while it scores `r`, else a fresh one."""
+    shared = getattr(r, "_shared", None)
+    if shared is not None:
+        return shared
+    order = np.lexsort((np.asarray(r.candidate_ids), -r.scores))
+    scores = r.scores[order]
+    return _SortedPass(
+        order, scores, r.relevance[order], r.levels[order], 1.0 + _strict_above(scores)
+    )
 
 
 def _require_positives(r: ScoredRanking) -> None:
@@ -119,27 +146,35 @@ def h_ap(r: ScoredRanking) -> float:
     The normalizer is the total positive relevance, so a ranking sorted by
     non-increasing relevance scores exactly 1. With binary relevance this is
     the classic average precision.
+
+    In list order, the positives strictly above positive k are the first
+    `above(k)` positives, so h_rank(k) is rel(k) plus, for each distinct
+    relevance value v, min(rel(k), v) times how many of those carry v. A
+    profile gives at most one value per level; arbitrary relevance with U
+    distinct values costs O(U * n).
     """
     _require_positives(r)
-    pos = r.positive_mask
-    greater = r.scores[None, :] > r.scores[:, None]  # [k, j] = s_j > s_k
-    ranks = 1.0 + greater.sum(axis=1)
-    agree = np.minimum.outer(r.relevance[pos], r.relevance) * pos[None, :]
-    hranks = r.relevance[pos] + (agree * greater[pos]).sum(axis=1)
-    return float((hranks / ranks[pos]).sum() / r.relevance[pos].sum())
+    p = _sorted_pass(r)
+    pos = p.levels > 0
+    rel = p.relevance[pos]
+    above = _strict_above(p.scores[pos])
+    hranks = rel.copy()
+    for v in np.unique(rel):
+        seen = np.concatenate(([0], np.cumsum(rel == v)))
+        hranks += np.minimum(rel, v) * seen[above]
+    return float((hranks / p.rank[pos]).sum() / rel.sum())
 
 
 def ap_level(r: ScoredRanking, level: int) -> float:
     """Binary average precision treating levels >= `level` as positive."""
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    posl = r.levels >= level
-    if not np.any(posl):
+    if not np.any(r.levels >= level):
         raise NoPositivesError(f"query {r.query_id!r} has no candidate at level >= {level}")
-    greater = r.scores[None, :] > r.scores[:, None]
-    ranks = 1.0 + greater.sum(axis=1)
-    ranks_l = 1.0 + (greater & posl[None, :]).sum(axis=1)
-    return float((ranks_l[posl] / ranks[posl]).mean())
+    p = _sorted_pass(r)
+    posl = p.levels >= level
+    ranks_l = 1.0 + _strict_above(p.scores[posl])
+    return float((ranks_l / p.rank[posl]).mean())
 
 
 def h_pr_at_k(r: ScoredRanking, k: int) -> tuple[float, float]:
@@ -187,27 +222,26 @@ def asi(r: ScoredRanking) -> float:
     At each n up to the number of positives, compares the multiset of
     relevance levels of the top-n predicted items against the ideal top-n
     (candidates sorted by non-increasing level), so the value does not depend
-    on arbitrary ordering inside ties.
+    on arbitrary ordering inside ties. The intersection at n is the sum over
+    levels of the smaller of the two level counts in the top n.
     """
     _require_positives(r)
     n_pos = int(r.positive_mask.sum())
-    pred = [int(r.levels[i]) for i in r.sorted_order()]
-    ideal = sorted(pred, reverse=True)
-    total = 0.0
-    for n in range(1, n_pos + 1):
-        common = Counter(pred[:n]) & Counter(ideal[:n])
-        total += sum(common.values()) / n
-    return total / n_pos
+    pred = _sorted_pass(r).levels[:n_pos]
+    ideal = np.sort(r.levels)[::-1][:n_pos]
+    common = np.zeros(n_pos)
+    for level in np.unique(ideal):
+        common += np.minimum(np.cumsum(pred == level), np.cumsum(ideal == level))
+    return float((common / np.arange(1, n_pos + 1)).sum() / n_pos)
 
 
 def ndcg(r: ScoredRanking) -> float:
     """Discounted cumulative gain with gains 2**level - 1, ideal-normalized."""
     _require_positives(r)
-    pos = r.positive_mask
-    greater = r.scores[None, :] > r.scores[:, None]
-    ranks = 1.0 + greater.sum(axis=1)
-    gains = 2.0 ** r.levels[pos] - 1.0
-    dcg = float((gains / np.log2(1.0 + ranks[pos])).sum())
+    p = _sorted_pass(r)
+    pos = p.levels > 0
+    gains = 2.0 ** p.levels[pos] - 1.0
+    dcg = float((gains / np.log2(1.0 + p.rank[pos])).sum())
     ideal_gains = 2.0 ** np.sort(r.levels)[::-1] - 1.0
     ideal_ranks = np.arange(1, len(r) + 1)
     ideal = float((ideal_gains / np.log2(1.0 + ideal_ranks)).sum())
@@ -220,8 +254,7 @@ def recall_at_k(r: ScoredRanking, k: int, level: int) -> int:
         raise NoPositivesError(f"query {r.query_id!r} has no candidate at level >= {level}")
     if k < 1:
         raise IndexOutOfRangeError(k)
-    top = r.sorted_order()[: min(k, len(r))]
-    return int(any(r.levels[i] >= level for i in top))
+    return int(np.any(_sorted_pass(r).levels[:k] >= level))
 
 
 @dataclass
@@ -248,17 +281,22 @@ class MetricsReport:
 
 
 def _query_metrics(r: ScoredRanking, depth: int, ks: Sequence[int]) -> dict[str, float]:
-    row: dict[str, float] = {
-        "h_ap": h_ap(r),
-        "asi": asi(r),
-        "ndcg": ndcg(r),
-    }
-    for l in range(1, depth + 1):
-        if np.any(r.levels >= l):
-            row[f"ap_level_{l}"] = ap_level(r, l)
-    if np.any(r.levels >= depth):
-        for k in ks:
-            row[f"recall_at_{k}"] = float(recall_at_k(r, k, depth))
+    # every kernel below reads one shared pass, dropped once the row is done
+    object.__setattr__(r, "_shared", _sorted_pass(r))
+    try:
+        row: dict[str, float] = {
+            "h_ap": h_ap(r),
+            "asi": asi(r),
+            "ndcg": ndcg(r),
+        }
+        for l in range(1, depth + 1):
+            if np.any(r.levels >= l):
+                row[f"ap_level_{l}"] = ap_level(r, l)
+        if np.any(r.levels >= depth):
+            for k in ks:
+                row[f"recall_at_{k}"] = float(recall_at_k(r, k, depth))
+    finally:
+        object.__delattr__(r, "_shared")
     return row
 
 
@@ -266,14 +304,12 @@ def evaluate_dataset(
     rankings: Sequence[ScoredRanking],
     ks: Sequence[int] = (1,),
     depth: int | None = None,
-    threads: int = 1,
 ) -> MetricsReport:
     """Per-query metrics and their arithmetic means.
 
     Queries without a single positive are excluded from every mean and
     counted. Each metric averages over the queries where it is defined
     (e.g. a level's AP skips queries with no candidate at that level).
-    The result is independent of `threads`.
     """
     included = [r for r in rankings if np.any(r.positive_mask)]
     excluded = len(rankings) - len(included)
@@ -282,12 +318,7 @@ def evaluate_dataset(
     if depth is None:
         depth = max(int(r.levels.max()) for r in included)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda r: _query_metrics(r, depth, ks), included))
-    else:
-        rows = [_query_metrics(r, depth, ks) for r in included]
-
+    rows = [_query_metrics(r, depth, ks) for r in included]
     per_query = {r.query_id: row for r, row in zip(included, rows)}
 
     def mean_of(key: str) -> float:
@@ -326,10 +357,23 @@ def parse_scores(text: str) -> dict[str, tuple[list[str], list[float]]]:
                 f"line {lineno}: bad score {score_text!r}"
             ) from None
         ids, scores = out.setdefault(query_id, ([], []))
-        if candidate_id in ids:
-            raise DuplicateInstanceError(
-                f"line {lineno}: candidate {candidate_id!r} repeated for query {query_id!r}"
-            )
         ids.append(candidate_id)
         scores.append(score)
+    if any(len(set(ids)) != len(ids) for ids, _ in out.values()):
+        _raise_first_duplicate(text)
     return out
+
+
+def _raise_first_duplicate(text: str) -> None:
+    """Name the first row that repeats a (query, candidate) pair."""
+    seen: set[tuple[str, str]] = set()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        fields = raw.rstrip("\r").split("\t")
+        if len(fields) != 3:
+            continue
+        pair = (fields[0], fields[1])
+        if pair in seen:
+            raise DuplicateInstanceError(
+                f"line {lineno}: candidate {pair[1]!r} repeated for query {pair[0]!r}"
+            )
+        seen.add(pair)

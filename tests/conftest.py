@@ -7,6 +7,9 @@ the two is evidence rather than tautology.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -125,6 +128,63 @@ def oracle_h_ap(scores: np.ndarray, rel: np.ndarray) -> float:
                 hrank += min(rel[k], rel[j])
         acc += hrank / rank
     return acc / total_rel
+
+
+def _strictly_above(scores, k: int) -> list[int]:
+    return [j for j in range(len(scores)) if scores[j] > scores[k]]
+
+
+def oracle_ap_level(scores: np.ndarray, levels: np.ndarray, level: int) -> float:
+    """Binary AP with levels >= `level` positive, ranks by strict inequality."""
+    total = 0.0
+    count = 0
+    for k in range(len(scores)):
+        if levels[k] < level:
+            continue
+        above = _strictly_above(scores, k)
+        rank = 1 + len(above)
+        rank_positive = 1 + sum(1 for j in above if levels[j] >= level)
+        total += rank_positive / rank
+        count += 1
+    return total / count
+
+
+def oracle_ndcg(scores: np.ndarray, levels: np.ndarray) -> float:
+    """DCG with gain 2**level - 1 at 1 + (candidates strictly above), over the ideal."""
+    dcg = 0.0
+    for k in range(len(scores)):
+        if levels[k] > 0:
+            rank = 1 + len(_strictly_above(scores, k))
+            dcg += (2.0 ** int(levels[k]) - 1.0) / math.log2(1 + rank)
+    ideal = 0.0
+    for position, level in enumerate(sorted((int(l) for l in levels), reverse=True), start=1):
+        ideal += (2.0 ** level - 1.0) / math.log2(1 + position)
+    return dcg / ideal
+
+
+def oracle_list_order(scores: np.ndarray, ids) -> list[int]:
+    """Descending score, ties by ascending id."""
+    return sorted(range(len(scores)), key=lambda i: (-float(scores[i]), ids[i]))
+
+
+def oracle_recall_at_k(scores: np.ndarray, ids, levels: np.ndarray, k: int, level: int) -> int:
+    """1 if one of the first k list entries sits at `level` or deeper."""
+    for i in oracle_list_order(scores, ids)[:k]:
+        if levels[i] >= level:
+            return 1
+    return 0
+
+
+def oracle_asi(scores: np.ndarray, ids, levels: np.ndarray) -> float:
+    """Mean over n <= #positives of |top-n level multiset & ideal top-n| / n."""
+    n_pos = sum(1 for l in levels if l > 0)
+    pred = [int(levels[i]) for i in oracle_list_order(scores, ids)]
+    ideal = sorted(pred, reverse=True)
+    total = 0.0
+    for n in range(1, n_pos + 1):
+        common = Counter(pred[:n]) & Counter(ideal[:n])
+        total += sum(common.values()) / n
+    return total / n_pos
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from conftest import make_ranking, oracle_binary_ap
 from hirank.errors import NoPositivesError, UnknownClassError, ZeroVectorError
@@ -73,6 +75,10 @@ class TestHeavisideLower:
         assert np.all(value <= step + 1e-12)
 
 
+# the logistic sigmoid at 5 = delta / tau, from the definition
+SIGMOID_5 = 1.0 / (1.0 + math.exp(-5.0))
+
+
 class TestHeavisideUpper:
     def test_far_negative_vanishes(self):
         value, _ = heaviside_upper(-1.0)
@@ -84,12 +90,12 @@ class TestHeavisideUpper:
 
     def test_at_margin(self):
         value, _ = heaviside_upper(0.05)
-        assert value == pytest.approx(expit(5.0) + 0.5, abs=1e-12)
+        assert value == pytest.approx(SIGMOID_5 + 0.5, abs=1e-12)
         assert value == pytest.approx(1.4933, abs=1e-4)
 
     def test_linear_tail(self):
         value, slope = heaviside_upper(0.1)
-        assert value == pytest.approx(100.0 * 0.05 + expit(5.0) + 0.5, abs=1e-12)
+        assert value == pytest.approx(100.0 * 0.05 + SIGMOID_5 + 0.5, abs=1e-12)
         assert value == pytest.approx(6.4933, abs=1e-4)
         assert slope == 100.0
 
@@ -99,6 +105,18 @@ class TestHeavisideUpper:
         value, _ = heaviside_upper(t)
         step = (t > 0).astype(float)
         assert np.all(value >= step - 1e-12)
+
+    @pytest.mark.parametrize("t", [-1e5, -1e3, 1e3, 1e5])
+    def test_extreme_differences_stay_finite(self, t):
+        # raw scores are unbounded, so t / tau can reach 1e7
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, slope = heaviside_upper(np.array([t]))
+        assert np.all(np.isfinite(value)) and np.all(np.isfinite(slope))
+        if t < 0:
+            assert value[0] == 0.0 and slope[0] == 0.0
+        else:
+            assert slope[0] == 100.0
 
 
 class TestHapSurrogate:

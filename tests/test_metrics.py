@@ -392,12 +392,6 @@ class TestEvaluateDataset:
         with pytest.raises(AllQueriesEmptyError):
             evaluate_dataset([binary([1.0], [0])], ks=(1,), depth=1)
 
-    def test_threads_do_not_change_results(self, rng):
-        rankings = [make_ranking(rng, 12, 3) for _ in range(40)]
-        serial = evaluate_dataset(rankings, ks=(1, 4), depth=3, threads=1)
-        parallel = evaluate_dataset(rankings, ks=(1, 4), depth=3, threads=4)
-        assert serial.to_json_dict() == parallel.to_json_dict()
-
     def test_mean_matches_recomputation(self, rng):
         rankings = [make_ranking(rng, 10, 2) for _ in range(50)]
         report = evaluate_dataset(rankings, ks=(1,), depth=2)
@@ -429,6 +423,11 @@ class TestParseScores:
     def test_duplicate_candidate_names_line(self):
         with pytest.raises(DuplicateInstanceError, match="line 2"):
             parse_scores("q\ta\t1\nq\ta\t2\n")
+
+    def test_first_repeated_row_in_file_order(self):
+        # query r's repeat (line 3) comes before query q's (line 4)
+        with pytest.raises(DuplicateInstanceError, match="line 3: candidate 'b'"):
+            parse_scores("q\ta\t1\nr\tb\t1\nr\tb\t2\nq\ta\t3\n")
 
     def test_malformed_line(self):
         with pytest.raises(MalformedRecordError, match="line 1"):
