@@ -19,7 +19,7 @@ from . import dataset as ds_io
 from . import trainer as trainer_mod
 from .errors import HirankError, NonFiniteLossError
 from .gradcheck import CHECKS, DEFAULT_EPS, DEFAULT_TOL, run_checks
-from .metrics import MetricsReport, ScoredRanking, evaluate_dataset, parse_scores
+from .metrics import ScoredRanking, evaluate_dataset, parse_scores
 from .synthgen import SynthSpec, generate
 from .taxonomy import RelevanceProfile, assign_relevance, build_partition, parse_taxonomy
 
@@ -124,20 +124,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def report_summary_lines(report: MetricsReport) -> list[str]:
-    lines = [
-        f"queries {report.queries} excluded {report.excluded}",
-        f"h_ap {report.h_ap:.6f}",
-    ]
-    for level in sorted(report.ap_level):
-        lines.append(f"ap_level_{level} {report.ap_level[level]:.6f}")
-    lines.append(f"asi {report.asi:.6f}")
-    lines.append(f"ndcg {report.ndcg:.6f}")
-    for k in sorted(report.recall_at_k):
-        lines.append(f"recall_at_{k} {report.recall_at_k[k]:.6f}")
-    return lines
-
-
 def cmd_eval(args) -> int:
     try:
         profile = parse_relevance_flag(args.relevance)
@@ -162,8 +148,9 @@ def cmd_eval(args) -> int:
         print(f"hirank eval: {exc}", file=sys.stderr)
         return DATA_EXIT
     ds_io.write_text_atomic(args.out, json.dumps(report.to_json_dict(), indent=2) + "\n")
-    for line in report_summary_lines(report):
-        print(line)
+    print(f"queries {report.queries} excluded {report.excluded}")
+    for name, value in report.metric_items():
+        print(f"{name} {value:.6f}")
     return 0
 
 
@@ -171,10 +158,7 @@ def cmd_train(args) -> int:
     try:
         ds = ds_io.load_dataset(args.data)
         raw = json.loads(args.config.read_text())
-    except FileNotFoundError as exc:
-        print(f"hirank train: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except (HirankError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, HirankError, json.JSONDecodeError) as exc:
         print(f"hirank train: {exc}", file=sys.stderr)
         return DATA_EXIT
     try:

@@ -270,13 +270,28 @@ class MetricsReport:
     recall_at_k: dict[int, float]
     per_query: dict[str, dict[str, float]] = field(default_factory=dict)
 
+    def metric_items(self) -> list[tuple[str, float]]:
+        """The mean metrics in report order: h_ap, each ap_level_l, asi, ndcg,
+        each recall_at_k."""
+        return [
+            ("h_ap", self.h_ap),
+            *((f"ap_level_{l}", v) for l, v in sorted(self.ap_level.items())),
+            ("asi", self.asi),
+            ("ndcg", self.ndcg),
+            *((f"recall_at_{k}", v) for k, v in sorted(self.recall_at_k.items())),
+        ]
+
     def to_json_dict(self) -> dict:
-        out: dict = {"queries": self.queries, "excluded": self.excluded, "h_ap": self.h_ap}
-        for l in sorted(self.ap_level):
-            out[f"ap_level_{l}"] = self.ap_level[l]
-        out["asi"] = self.asi
-        out["ndcg"] = self.ndcg
-        out["recall_at_k"] = {str(k): v for k, v in sorted(self.recall_at_k.items())}
+        """The metric items, with the recall cutoffs nested under recall_at_k."""
+        out: dict = {"queries": self.queries, "excluded": self.excluded}
+        recall: dict[str, float] = {}
+        for name, value in self.metric_items():
+            k = name.removeprefix("recall_at_")
+            if k != name:
+                recall[k] = value
+            else:
+                out[name] = value
+        out["recall_at_k"] = recall
         return out
 
 

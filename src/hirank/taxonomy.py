@@ -9,6 +9,7 @@ under two different parents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -48,6 +49,19 @@ class Taxonomy:
 
     def leaf(self, instance_id: str) -> str:
         return self.path(instance_id)[-1]
+
+    @cached_property
+    def _encoded(self) -> tuple[dict[str, int], np.ndarray]:
+        row_of = {iid: row for row, iid in enumerate(self.entries)}
+        return row_of, path_codes(list(self.entries.values()), self.depth)
+
+    def codes(self, instance_ids: Iterable[str]) -> np.ndarray:
+        """Per-level label codes of the given instances (see `path_codes`)."""
+        row_of, codes = self._encoded
+        try:
+            return codes[[row_of[i] for i in instance_ids]]
+        except KeyError as exc:
+            raise UnknownInstanceError(exc.args[0]) from None
 
 
 @dataclass(frozen=True)
@@ -136,15 +150,56 @@ class RelevanceProfile:
         """Binary profile: only same-leaf candidates count as positive."""
         return cls.explicit({l: 0.0 for l in range(depth)} | {depth: 1.0})
 
+    def level_table(self, counts: np.ndarray, skip_empty: bool) -> np.ndarray:
+        """Per-level relevance from per-level candidate counts, shape `(..., depth + 1)`.
 
-def ancestor_level(path_a: Sequence[str], path_b: Sequence[str]) -> int:
-    """Length of the longest common prefix of two label paths."""
-    level = 0
-    for a, b in zip(path_a, path_b):
-        if a != b:
-            break
-        level += 1
-    return level
+        A weighted profile divides by the number of candidates at level p or
+        deeper: where there are none it raises EmptyLevelDivisionError, or
+        with `skip_empty` drops that weight term.
+        """
+        counts = np.asarray(counts)
+        depth = counts.shape[-1] - 1
+        if self.kind == "alpha":
+            weight = np.array([(l / depth) ** self.alpha_value for l in range(depth + 1)])
+            return np.divide(weight, counts, out=np.zeros(counts.shape), where=counts > 0)
+        if self.kind == "weighted-ap":
+            if len(self.weights) != depth:
+                raise ValueError(f"profile has {len(self.weights)} weights for depth {depth}")
+            # upper[..., p-1] = #candidates at level >= p, for p = 1..depth
+            upper = np.cumsum(counts[..., ::-1], axis=-1)[..., ::-1][..., 1:]
+            weights = np.array(self.weights)
+            if not skip_empty and np.any(upper == 0):
+                p = int(np.nonzero(upper == 0)[-1][0]) + 1
+                raise EmptyLevelDivisionError(
+                    f"no candidate at level >= {p} but weight {self.weights[p - 1]}"
+                )
+            terms = np.divide(weights, upper, out=np.zeros(upper.shape), where=upper > 0)
+            table = np.zeros(counts.shape)
+            table[..., 1:] = np.cumsum(terms, axis=-1)
+            return table
+        if self.kind == "explicit":
+            row = [self.table.get(l, 0.0) for l in range(depth + 1)]
+            return np.broadcast_to(np.array(row), counts.shape)
+        raise ValueError(f"unknown profile kind {self.kind!r}")
+
+
+def path_codes(paths: Sequence[LabelPath], depth: int) -> np.ndarray:
+    """Encode label paths of `depth` components as one int per level.
+
+    Two paths get the same code at a level exactly when they carry the same
+    label there.
+    """
+    luts: list[dict[str, int]] = [{} for _ in range(depth)]
+    codes = [[lut.setdefault(c, len(lut)) for lut, c in zip(luts, path)] for path in paths]
+    return np.array(codes, dtype=np.int64).reshape(len(paths), depth)
+
+
+def ancestor_levels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Level of the deepest ancestor shared by encoded paths `a` and `b`.
+
+    Codes run along the last axis; the leading axes broadcast.
+    """
+    return np.cumprod(a == b, axis=-1).sum(axis=-1)
 
 
 def parse_taxonomy(text: str) -> Taxonomy:
@@ -181,7 +236,9 @@ def parse_taxonomy(text: str) -> Taxonomy:
     leaves = {p[-1] for p in entries.values()}
     if len(leaves) < 2:
         raise TooFewLeavesError(f"need at least 2 distinct leaf labels, got {len(leaves)}")
-    return Taxonomy(depth=depth, entries=entries, level_sizes=_level_sizes(entries.values(), depth))
+    # node ids are global (checked above), so distinct labels are distinct prefixes
+    level_sizes = tuple(len({p[l] for p in entries.values()}) for l in range(depth))
+    return Taxonomy(depth=depth, entries=entries, level_sizes=level_sizes)
 
 
 def format_taxonomy(tax: Taxonomy) -> str:
@@ -205,14 +262,6 @@ def _check_tree(paths: Iterable[LabelPath]) -> None:
             parent = node
 
 
-def _level_sizes(paths: Iterable[LabelPath], depth: int) -> tuple[int, ...]:
-    prefixes: list[set[LabelPath]] = [set() for _ in range(depth)]
-    for path in paths:
-        for l in range(depth):
-            prefixes[l].add(path[: l + 1])
-    return tuple(len(s) for s in prefixes)
-
-
 def leaf_only(tax: Taxonomy) -> Taxonomy:
     """Depth-1 view keeping only the leaf label of every instance."""
     entries = {iid: (path[-1],) for iid, path in tax.entries.items()}
@@ -223,13 +272,11 @@ def build_partition(
     tax: Taxonomy, query: str, candidates: Sequence[str]
 ) -> RelevancePartition:
     """Assign every candidate its common-ancestor level with the query."""
-    query_path = tax.path(query)
+    query_codes = tax.codes([query])
     candidate_ids = tuple(candidates)
     if query in candidate_ids:
         raise QueryInCandidatesError(query)
-    levels = np.array(
-        [ancestor_level(query_path, tax.path(c)) for c in candidate_ids], dtype=np.int64
-    )
+    levels = ancestor_levels(query_codes, tax.codes(candidate_ids))
     return RelevancePartition(
         query_id=query, candidate_ids=candidate_ids, levels=levels, depth=tax.depth
     )
@@ -243,9 +290,8 @@ def partition_from_paths(
     depth: int,
 ) -> RelevancePartition:
     """Build a partition directly from label paths (no Taxonomy lookup)."""
-    levels = np.array(
-        [ancestor_level(query_path, p) for p in candidate_paths], dtype=np.int64
-    )
+    codes = path_codes([query_path, *candidate_paths], depth)
+    levels = ancestor_levels(codes[:1], codes[1:])
     return RelevancePartition(
         query_id=query_id, candidate_ids=tuple(candidate_ids), levels=levels, depth=depth
     )
@@ -256,51 +302,12 @@ def assign_relevance(
 ) -> RelevancePartition:
     """Apply a relevance profile; returns a new partition with relevance set.
 
-    For explicit profiles, levels whose table value is 0 (or missing) are
-    reassigned to level 0 so that relevance == 0 always means negative.
+    Candidates at a level the profile maps to 0 (an explicit table may) are
+    reassigned to level 0, so that relevance == 0 always means negative.
     """
-    levels = part.levels
-    depth = part.depth
-    counts = part.level_counts
-
-    if profile.kind == "alpha":
-        per_level = np.zeros(depth + 1)
-        for l in range(1, depth + 1):
-            if counts[l] > 0:
-                per_level[l] = (l / depth) ** profile.alpha_value / counts[l]
-        rel = per_level[levels]
-        return replace(part, relevance=rel)
-
-    if profile.kind == "weighted-ap":
-        if len(profile.weights) != depth:
-            raise ValueError(
-                f"profile has {len(profile.weights)} weights for depth {depth}"
-            )
-        # |union of levels >= p| for p = 1..depth
-        upper_counts = np.cumsum(counts[::-1])[::-1]
-        per_level = np.zeros(depth + 1)
-        acc = 0.0
-        for p in range(1, depth + 1):
-            if upper_counts[p] == 0:
-                if profile.weights[p - 1] != 0.0:
-                    raise EmptyLevelDivisionError(
-                        f"no candidate at level >= {p} but weight {profile.weights[p - 1]}"
-                    )
-                continue
-            acc += profile.weights[p - 1] / upper_counts[p]
-            per_level[p] = acc
-        rel = per_level[levels]
-        return replace(part, relevance=rel)
-
-    if profile.kind == "explicit":
-        rel = np.array([profile.table.get(int(l), 0.0) for l in levels])
-        new_levels = np.where(rel > 0, levels, 0)
-        new_counts = np.bincount(new_levels, minlength=depth + 1)
-        return replace(
-            part, relevance=rel, levels=new_levels, level_counts=new_counts
-        )
-
-    raise ValueError(f"unknown profile kind {profile.kind!r}")
+    rel = profile.level_table(part.level_counts, skip_empty=False)[part.levels]
+    levels = np.where(rel > 0, part.levels, 0)
+    return replace(part, relevance=rel, levels=levels, level_counts=None)
 
 
 def validate_relevance(part: RelevancePartition) -> list[MonotonicityWarning]:

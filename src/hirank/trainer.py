@@ -38,7 +38,7 @@ from .losses import (
     unit_rows,
 )
 from .metrics import MetricsReport, ScoredRanking, evaluate_dataset
-from .taxonomy import RelevanceProfile
+from .taxonomy import RelevanceProfile, ancestor_levels
 
 HISTORY_FILE = "history.jsonl"
 EMBEDDINGS_FILE = "embeddings.tsv"
@@ -241,21 +241,9 @@ def _make_optimizer(config: TrainerConfig):
 
 # --- pairwise structure ---------------------------------------------------------
 
-def path_codes(ds: RetrievalDataset) -> np.ndarray:
-    """Encode each instance's label path as one int per level."""
-    depth = ds.taxonomy.depth
-    codes = np.zeros((len(ds.ids), depth), dtype=np.int64)
-    lut: list[dict[str, int]] = [{} for _ in range(depth)]
-    for row, instance_id in enumerate(ds.ids):
-        for level, comp in enumerate(ds.taxonomy.path(instance_id)):
-            codes[row, level] = lut[level].setdefault(comp, len(lut[level]))
-    return codes
-
-
 def pairwise_levels(codes: np.ndarray) -> np.ndarray:
     """Deepest shared ancestor level for every pair of encoded paths."""
-    eq = codes[:, None, :] == codes[None, :, :]
-    return np.cumprod(eq, axis=2).sum(axis=2)
+    return ancestor_levels(codes[:, None, :], codes[None, :, :])
 
 
 def relevance_rows(levels: np.ndarray, profile: RelevanceProfile, depth: int) -> np.ndarray:
@@ -267,27 +255,11 @@ def relevance_rows(levels: np.ndarray, profile: RelevanceProfile, depth: int) ->
     misses levels that the full candidate pool would cover.
     """
     b = levels.shape[0]
-    off = ~np.eye(b, dtype=bool)
-    rel = np.zeros((b, b))
-    for q in range(b):
-        lv = levels[q, off[q]]
-        counts = np.bincount(lv, minlength=depth + 1)
-        per_level = np.zeros(depth + 1)
-        if profile.kind == "alpha":
-            for l in range(1, depth + 1):
-                if counts[l]:
-                    per_level[l] = (l / depth) ** profile.alpha_value / counts[l]
-        elif profile.kind == "weighted-ap":
-            upper = np.cumsum(counts[::-1])[::-1]  # upper[p] = #{level >= p}
-            acc = 0.0
-            for p in range(1, depth + 1):
-                if upper[p] > 0:
-                    acc += profile.weights[p - 1] / upper[p]
-                per_level[p] = acc
-        else:  # explicit
-            for l in range(1, depth + 1):
-                per_level[l] = profile.table.get(l, 0.0)
-        rel[q, off[q]] = per_level[lv]
+    # count whole rows, then take the diagonal (a row against itself) back out
+    counts = np.stack([(levels == l).sum(axis=1) for l in range(depth + 1)], axis=-1)
+    counts[np.arange(b), levels.diagonal()] -= 1
+    rel = np.take_along_axis(profile.level_table(counts, skip_empty=True), levels, axis=1)
+    np.fill_diagonal(rel, 0.0)
     return rel
 
 
@@ -326,7 +298,7 @@ class TrainerState:
 def init_state(ds: RetrievalDataset, config: TrainerConfig) -> TrainerState:
     """Seeded setup; the draw order (proxies, then model) is part of the contract."""
     rng = np.random.default_rng(config.seed)
-    codes = path_codes(ds)
+    codes = ds.taxonomy.codes(ds.ids)
     train_rows = np.array([ds.row_of[i] for i in ds.train_ids], dtype=np.int64)
     if len(train_rows) == 0:
         raise InsufficientClassesError("no training instances outside the holdout")
@@ -417,8 +389,12 @@ def train_step(state: TrainerState, ds: RetrievalDataset, batch_ids: Sequence[st
 
 
 def evaluate_state(state: TrainerState, ds: RetrievalDataset) -> MetricsReport:
+    """Holdout-style evaluation: fixed alpha=1 relevance, full metric set."""
     embeddings = state.model.all_embeddings(ds.features)
-    return evaluate_rows(ds, state.eval_rows, embeddings, state.codes, state.config.recall_ks)
+    rankings = rankings_for_rows(
+        ds, state.eval_rows, embeddings, state.codes, RelevanceProfile.alpha(1.0)
+    )
+    return evaluate_dataset(rankings, ks=state.config.recall_ks, depth=ds.taxonomy.depth)
 
 
 def rankings_for_rows(
@@ -433,46 +409,19 @@ def rankings_for_rows(
     scores = unit @ unit.T
     levels = pairwise_levels(codes[rows])
     rel = relevance_rows(levels, profile, ds.taxonomy.depth)
-    out: list[ScoredRanking] = []
+    levels = np.where(rel > 0, levels, 0)  # profiles may zero a level; keep rel=0 <=> level=0
     off = ~np.eye(len(rows), dtype=bool)
-    ids = [ds.ids[r] for r in rows]
-    for q in range(len(rows)):
-        lv = levels[q, off[q]].copy()
-        rl = rel[q, off[q]]
-        lv[rl == 0] = 0  # profiles may zero a level; keep rel=0 <=> level=0
-        out.append(
-            ScoredRanking(
-                query_id=ids[q],
-                candidate_ids=tuple(i for j, i in enumerate(ids) if j != q),
-                scores=scores[q, off[q]],
-                relevance=rl,
-                levels=lv,
-            )
+    ids = tuple(ds.ids[r] for r in rows)
+    return [
+        ScoredRanking(
+            query_id=ids[q],
+            candidate_ids=ids[:q] + ids[q + 1 :],
+            scores=scores[q, off[q]],
+            relevance=rel[q, off[q]],
+            levels=levels[q, off[q]],
         )
-    return out
-
-
-def evaluate_rows(
-    ds: RetrievalDataset,
-    rows: np.ndarray,
-    embeddings: np.ndarray,
-    codes: np.ndarray,
-    ks: Sequence[int],
-) -> MetricsReport:
-    """Holdout-style evaluation: fixed alpha=1 relevance, full metric set."""
-    rankings = rankings_for_rows(ds, rows, embeddings, codes, RelevanceProfile.alpha(1.0))
-    return evaluate_dataset(rankings, ks=ks, depth=ds.taxonomy.depth)
-
-
-def _report_row(report: MetricsReport) -> dict:
-    row: dict = {"h_ap": report.h_ap}
-    for l in sorted(report.ap_level):
-        row[f"ap_level_{l}"] = report.ap_level[l]
-    row["asi"] = report.asi
-    row["ndcg"] = report.ndcg
-    for k in sorted(report.recall_at_k):
-        row[f"recall_at_{k}"] = report.recall_at_k[k]
-    return row
+        for q in range(len(rows))
+    ]
 
 
 @dataclass
@@ -506,7 +455,7 @@ def fit(
         rep = evaluate_state(state, ds)
         record: dict = {"epoch": state.epoch, "step": state.step, "lr": state.learning_rate()}
         record.update(loss_avgs or {})
-        record.update(_report_row(rep))
+        record.update(rep.metric_items())
         state.history.append(record)
         if log is not None:
             log(

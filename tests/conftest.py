@@ -73,6 +73,43 @@ def weighted_relevance(levels: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return rel
 
 
+def oracle_ancestor_level(path_a, path_b) -> int:
+    """Length of the longest common prefix of two label paths."""
+    level = 0
+    for a, b in zip(path_a, path_b):
+        if a != b:
+            break
+        level += 1
+    return level
+
+
+def oracle_relevance_rows(levels: np.ndarray, profile, depth: int) -> np.ndarray:
+    """In-batch relevance one query row at a time, skipping empty weighted levels."""
+    b = levels.shape[0]
+    rel = np.zeros((b, b))
+    for q in range(b):
+        others = [j for j in range(b) if j != q]
+        counts = [sum(1 for j in others if levels[q, j] == l) for l in range(depth + 1)]
+        per_level = [0.0] * (depth + 1)
+        if profile.kind == "alpha":
+            for l in range(1, depth + 1):
+                if counts[l]:
+                    per_level[l] = (l / depth) ** profile.alpha_value / counts[l]
+        elif profile.kind == "weighted-ap":
+            acc = 0.0
+            for p in range(1, depth + 1):
+                upper = sum(counts[p:])
+                if upper:
+                    acc += profile.weights[p - 1] / upper
+                per_level[p] = acc
+        else:
+            for l in range(1, depth + 1):
+                per_level[l] = profile.table.get(l, 0.0)
+        for j in others:
+            rel[q, j] = per_level[levels[q, j]]
+    return rel
+
+
 def make_ranking(
     rng: np.random.Generator,
     n: int,

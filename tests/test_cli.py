@@ -155,6 +155,16 @@ class TestEvalCommand:
         ])
         assert code == 0
 
+    def test_weight_count_not_matching_depth_is_data_error(self, tmp_path, capsys):
+        tax, sco = write_eval_inputs(tmp_path)
+        code = run([
+            "eval", "--taxonomy", str(tax), "--scores", str(sco),
+            "--out", str(tmp_path / "r.json"),
+            "--relevance", "weights:0.5,0.5",
+        ])
+        assert code == 2
+        assert "2 weights for depth 3" in capsys.readouterr().err
+
 
 def write_train_inputs(tmp_path, config_over=None):
     data = tmp_path / "data"
@@ -231,6 +241,17 @@ class TestTrainCommand:
                     "--out", str(tmp_path / "run")])
         assert code == 1
         assert "bad config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights", [[1.0], [0.25, 0.25, 0.5]], ids=["too_few", "too_many"])
+    def test_weight_count_not_matching_depth(self, tmp_path, capsys, weights):
+        profile = {"kind": "weighted", "weights": weights}
+        data, config = write_train_inputs(tmp_path, {"objective": {"profile": profile}})
+        out = tmp_path / "run"
+        code = run(["train", "--data", str(data), "--config", str(config),
+                    "--out", str(out), "--quiet"])
+        assert code == 1
+        assert f"bad config: profile has {len(weights)} weights for depth 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_progress_lines_unless_quiet(self, tmp_path, capsys):
         data, config = write_train_inputs(tmp_path, {"epochs": 1})

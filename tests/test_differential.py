@@ -3,6 +3,11 @@
 Lists are drawn with heavy ties (at most three distinct scores), shuffled
 ids so that tie-breaking by id matters, and the degenerate shapes: one
 candidate, every score tied, every candidate positive.
+
+The vectorized ancestor levels and relevance-profile tables are checked the
+same way, for exact equality: levels on identical paths, depth 1 and paths
+sharing no root; profile tables on batches with an empty level and on
+queries without a single in-batch positive.
 """
 
 import numpy as np
@@ -12,13 +17,17 @@ from hypothesis import strategies as st
 
 from conftest import (
     alpha_relevance,
+    oracle_ancestor_level,
     oracle_ap_level,
     oracle_asi,
     oracle_h_ap,
     oracle_list_order,
     oracle_ndcg,
     oracle_recall_at_k,
+    oracle_relevance_rows,
+    weighted_relevance,
 )
+from hirank.errors import EmptyLevelDivisionError
 from hirank.metrics import (
     ScoredRanking,
     ap_level,
@@ -28,6 +37,16 @@ from hirank.metrics import (
     ndcg,
     recall_at_k,
 )
+from hirank.taxonomy import (
+    RelevancePartition,
+    RelevanceProfile,
+    assign_relevance,
+    build_partition,
+    parse_taxonomy,
+    partition_from_paths,
+    path_codes,
+)
+from hirank.trainer import pairwise_levels, relevance_rows
 
 DIFFERENTIAL = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 SHAPES = ("ties", "single", "all_tied", "all_positive")
@@ -90,3 +109,101 @@ def test_dataset_rows_equal_standalone_kernels(batch):
         assert row["h_ap"] == h_ap(r)
         assert row["asi"] == asi(r)
         assert row["ndcg"] == ndcg(r)
+
+
+# --- ancestor levels ------------------------------------------------------------------
+
+
+@st.composite
+def label_paths(draw) -> tuple[int, list[tuple[str, ...]]]:
+    """2-12 paths over a two-letter alphabet, so that prefixes collide often."""
+    depth = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 12))
+    shape = draw(st.sampled_from(("mixed", "identical", "no_shared_root")))
+    path = st.lists(st.sampled_from("ab"), min_size=depth, max_size=depth).map(tuple)
+    if shape == "identical":
+        return depth, [draw(path)] * n
+    paths = [draw(path) for _ in range(n)]
+    if shape == "no_shared_root":
+        paths = [(f"r{i}",) + p[1:] for i, p in enumerate(paths)]
+    return depth, paths
+
+
+@DIFFERENTIAL
+@given(label_paths())
+def test_vectorized_levels_match_the_oracle(case):
+    depth, paths = case
+    expect = np.array([[oracle_ancestor_level(a, b) for b in paths] for a in paths])
+    assert np.array_equal(pairwise_levels(path_codes(paths, depth)), expect)
+    ids = [f"c{i}" for i in range(1, len(paths))]
+    part = partition_from_paths("q", paths[0], ids, paths[1:], depth)
+    assert np.array_equal(part.levels, expect[0, 1:])
+    # a valid tree: every node named by its full prefix, plus one unrelated leaf
+    named = [tuple("".join(p[: l + 1]) for l in range(depth)) for p in paths]
+    named.append(tuple("z" * (l + 1) for l in range(depth)))
+    tax = parse_taxonomy("".join(f"i{i}\t{'/'.join(p)}\n" for i, p in enumerate(named)))
+    part = build_partition(tax, "i0", [f"i{i}" for i in range(1, len(paths))])
+    assert np.array_equal(part.levels, expect[0, 1:])
+
+
+# --- relevance profiles ---------------------------------------------------------------
+
+
+@st.composite
+def profiles(draw, depth: int) -> RelevanceProfile:
+    kind = draw(st.sampled_from(("alpha", "weighted", "explicit")))
+    if kind == "alpha":
+        return RelevanceProfile.alpha(draw(st.sampled_from([0.5, 0.7, 1.0, 3.0])))
+    if kind == "weighted":
+        w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=depth, max_size=depth)))
+        return RelevanceProfile.weighted_ap(tuple(w / w.sum()))
+    values = st.sampled_from([0.0, 0.25, 0.7, 1.0])
+    return RelevanceProfile.explicit({l: draw(values) for l in range(1, depth + 1)})
+
+
+@st.composite
+def level_batches(draw) -> tuple[int, np.ndarray, RelevanceProfile]:
+    """A b x b in-batch level matrix, with a level left out or a query isolated."""
+    depth = draw(st.integers(1, 3))
+    b = draw(st.integers(2, 14))
+    shape = draw(st.sampled_from(("mixed", "level_missing", "isolated_query")))
+    allowed = list(range(depth + 1))
+    if shape == "level_missing":
+        allowed.remove(draw(st.integers(1, depth)))
+    cells = st.lists(st.sampled_from(allowed), min_size=b * b, max_size=b * b)
+    levels = np.array(draw(cells)).reshape(b, b)
+    if shape == "isolated_query":
+        levels[draw(st.integers(0, b - 1))] = 0
+    return depth, levels, draw(profiles(depth))
+
+
+@DIFFERENTIAL
+@given(level_batches())
+def test_relevance_rows_match_the_per_query_loop(case):
+    depth, levels, profile = case
+    assert np.array_equal(
+        relevance_rows(levels, profile, depth), oracle_relevance_rows(levels, profile, depth)
+    )
+
+
+@DIFFERENTIAL
+@given(level_batches())
+def test_profile_table_matches_the_relevance_oracles(case):
+    depth, levels, profile = case
+    rel = relevance_rows(levels, profile, depth)
+    b = len(levels)
+    for q in range(b):
+        others = np.arange(b) != q
+        lv = levels[q, others]
+        if profile.kind == "alpha":
+            assert np.array_equal(rel[q, others], alpha_relevance(lv, depth, profile.alpha_value))
+        elif profile.kind == "weighted-ap":
+            assert np.array_equal(rel[q, others], weighted_relevance(lv, profile.weights))
+        part = RelevancePartition("q", tuple(f"c{j}" for j in range(b - 1)), lv, depth)
+        if profile.kind == "weighted-ap" and not np.any(lv == depth):
+            with pytest.raises(EmptyLevelDivisionError):
+                assign_relevance(part, profile)
+            continue
+        part = assign_relevance(part, profile)
+        assert np.array_equal(part.relevance, rel[q, others])
+        assert np.array_equal(part.levels, np.where(rel[q, others] > 0, lv, 0))

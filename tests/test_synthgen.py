@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import oracle_ancestor_level
 from hirank.dataset import FEATURES_FILE, TAXONOMY_FILE, write_dataset
 from hirank.errors import TooFewLeavesError
 from hirank.synthgen import SynthSpec, generate
-from hirank.taxonomy import ancestor_level
 
 
 class TestSynthSpec:
@@ -104,7 +104,7 @@ class TestGenerate:
             path_of[leaf] = ds.taxonomy.path(members[0])
         by_shared: dict[int, list[float]] = {0: [], 1: [], 2: []}
         for a, b in itertools.combinations(leaves, 2):
-            shared = ancestor_level(path_of[a], path_of[b])
+            shared = oracle_ancestor_level(path_of[a], path_of[b])
             by_shared[shared].append(float(np.linalg.norm(mean_of[a] - mean_of[b])))
         means = [np.mean(by_shared[s]) for s in (0, 1, 2)]
         assert means[0] > means[1] > means[2]

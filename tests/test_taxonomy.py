@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import oracle_ancestor_level
 from hirank.errors import (
     DuplicateInstanceError,
     EmptyInputError,
@@ -14,13 +15,14 @@ from hirank.errors import (
 )
 from hirank.taxonomy import (
     RelevanceProfile,
-    ancestor_level,
+    ancestor_levels,
     assign_relevance,
     build_partition,
     format_taxonomy,
     leaf_only,
     parse_taxonomy,
     partition_from_paths,
+    path_codes,
     validate_relevance,
 )
 
@@ -88,19 +90,24 @@ class TestParseTaxonomy:
         assert tax.level_sizes == (4,)
 
 
+def level_of(path_a, path_b) -> int:
+    codes = path_codes([path_a, path_b], len(path_a))
+    return int(ancestor_levels(codes[0], codes[1]))
+
+
 class TestAncestorLevel:
     def test_common_prefix_lengths(self):
-        assert ancestor_level(("v", "c", "l"), ("v", "c", "l")) == 3
-        assert ancestor_level(("v", "c", "l"), ("v", "c", "p")) == 2
-        assert ancestor_level(("v", "c", "l"), ("v", "b", "s")) == 1
-        assert ancestor_level(("v", "c", "l"), ("p", "t", "o")) == 0
+        assert level_of(("v", "c", "l"), ("v", "c", "l")) == 3
+        assert level_of(("v", "c", "l"), ("v", "c", "p")) == 2
+        assert level_of(("v", "c", "l"), ("v", "b", "s")) == 1
+        assert level_of(("v", "c", "l"), ("p", "t", "o")) == 0
 
     def test_symmetry(self, rng):
         labels = ["x", "y", "z"]
         for _ in range(50):
             a = tuple(rng.choice(labels) for _ in range(4))
             b = tuple(rng.choice(labels) for _ in range(4))
-            assert ancestor_level(a, b) == ancestor_level(b, a)
+            assert level_of(a, b) == level_of(b, a) == oracle_ancestor_level(a, b)
 
 
 class TestBuildPartition:

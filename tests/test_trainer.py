@@ -23,7 +23,6 @@ from hirank.trainer import (
     history_text,
     init_state,
     pairwise_levels,
-    path_codes,
     relevance_rows,
     sample_batch,
     train_step,
@@ -150,7 +149,7 @@ class TestConfigFromDict:
 class TestPairwiseStructure:
     def test_path_codes_shape(self):
         ds = toy_dataset()
-        codes = path_codes(ds)
+        codes = ds.taxonomy.codes(ds.ids)
         assert codes.shape == (len(ds.ids), ds.taxonomy.depth)
 
     def test_pairwise_levels_prefixes(self):
