@@ -49,7 +49,7 @@ class RetrievalDataset:
         if self.features.shape[0] != len(self.ids):
             raise ValueError("one feature row per instance id required")
         if not np.all(np.isfinite(self.features)):
-            raise ValueError("features must be finite")
+            raise MalformedRecordError("features must be finite")
         self.row_of = {i: r for r, i in enumerate(self.ids)}
         known = set(self.taxonomy.entries)
         missing = known - set(self.ids)

@@ -272,7 +272,7 @@ def check_combined(
         dim = int(rng.integers(4, 9))
         n_classes = 3
         class_ids = tuple(f"c{i}" for i in range(n_classes))
-        labels = [class_ids[int(rng.integers(0, n_classes))] for _ in range(b)]
+        labels = [int(rng.integers(0, n_classes)) for _ in range(b)]
         rel = np.zeros((b, b))
         for q in range(b):
             for j in range(b):

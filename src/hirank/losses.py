@@ -135,7 +135,6 @@ def hap_surrogate(
     if total <= 0:
         raise NoPositivesError("no positive candidate in scored list")
 
-    n = len(scores)
     pos = np.flatnonzero(relevance > 0)
     rel_pos = relevance[pos]  # (P,)
     diff = scores[None, :] - scores[pos, None]  # (P, n): s_j - s_k
@@ -145,18 +144,12 @@ def hap_surrogate(
 
     rel_j = relevance[None, :]
     rel_k = rel_pos[:, None]
-    self_pair = np.arange(n)[None, :] == pos[:, None]
     more = rel_j > rel_k
     less = rel_j < rel_k
-    equal_or_less_pos = (rel_j > 0) & ~more & ~self_pair
-    equal_or_more_pos = (rel_j > 0) & ~less & ~self_pair
-
-    numer = (
-        rel_pos
-        + rel_pos * (low_v * more).sum(axis=1)
-        + (rel_j * step * equal_or_less_pos).sum(axis=1)
-    )
-    denom = 1.0 + (step * equal_or_more_pos).sum(axis=1) + (up_v * less).sum(axis=1)
+    # the exact-step terms need no self or zero-relevance mask: the self
+    # pair has step 0, a negative adds rel_j = 0, and ~less implies rel_j > 0
+    numer = rel_pos + rel_pos * (low_v * more).sum(axis=1) + (rel_j * step * ~more).sum(axis=1)
+    denom = 1.0 + (step * ~less).sum(axis=1) + (up_v * less).sum(axis=1)
     value = 1.0 - float((numer / denom).sum() / total)
 
     # d(value)/d(s_j) for the k-th positive's term; s_k gets the negated sum.
@@ -166,7 +159,7 @@ def hap_surrogate(
         total * denom[:, None] ** 2
     )
     d_scores = pair.sum(axis=0)
-    np.add.at(d_scores, pos, -pair.sum(axis=1))
+    d_scores[pos] -= pair.sum(axis=1)
     return LossGradients(value=value, d_scores=d_scores)
 
 
@@ -211,27 +204,40 @@ class ProxyBank:
         self.vectors /= norms
 
 
-def clustering_loss(embedding: np.ndarray, y: int, bank: ProxyBank) -> LossGradients:
-    """Softmax cross-entropy of an embedding against class proxies.
+def clustering_loss(embeddings: np.ndarray, labels: np.ndarray, bank: ProxyBank) -> LossGradients:
+    """Mean softmax cross-entropy of embedding rows against class proxies.
 
-    `y` indexes the embedding's own class in the bank. Logits are dot
-    products with each proxy over the temperature sigma. The embedding is
-    used as given; callers that want cosine logits normalize it first and
-    push the returned gradient back through that normalization.
+    `embeddings` holds (..., dim) rows and `labels` the (...) proxy indices
+    of their classes; one (dim,) row with an int label is a batch of one.
+    Logits are dot products with each proxy over the temperature sigma. The
+    rows are used as given; callers that want cosine logits normalize them
+    first and push the returned gradient back through that normalization.
+    Both gradients are those of the mean, d_embedding in the input's shape.
     """
-    v = np.asarray(embedding, dtype=np.float64)
-    if not 0 <= y < len(bank.class_ids):
-        raise UnknownClassError(f"class index {y} outside bank of {len(bank.class_ids)}")
-    logits = bank.vectors @ v / bank.sigma
-    logits -= logits.max()
+    v = np.asarray(embeddings, dtype=np.float64)
+    labels = np.asarray(labels)
+    if labels.shape != v.shape[:-1]:
+        raise ValueError(f"labels must have shape {v.shape[:-1]}, got {labels.shape}")
+    n_classes = len(bank.class_ids)
+    if labels.dtype.kind not in "iu" or np.any((labels < 0) | (labels >= n_classes)):
+        raise UnknownClassError(f"class labels must be proxy indices in [0, {n_classes})")
+    rows = v.reshape(-1, v.shape[-1])
+    y = labels.reshape(-1)
+    b = len(y)
+    logits = rows @ bank.vectors.T / bank.sigma
+    logits -= logits.max(axis=1, keepdims=True)
     exp = np.exp(logits)
-    total = exp.sum()
-    q = exp / total
-    value = float(np.log(total) - logits[y])
-    d_embedding = (bank.vectors.T @ q - bank.vectors[y]) / bank.sigma
-    d_proxies = np.outer(q, v) / bank.sigma
-    d_proxies[y] -= v / bank.sigma
-    return LossGradients(value=value, d_embedding=d_embedding, d_proxies=d_proxies)
+    total = exp.sum(axis=1)
+    value = float(np.mean(np.log(total) - logits[np.arange(b), y]))
+    # the mean's gradient on the logits times sigma: (softmax - one-hot) / b
+    err = exp / total[:, None]
+    err[np.arange(b), y] -= 1.0
+    err /= b * bank.sigma
+    return LossGradients(
+        value=value,
+        d_embedding=(err @ bank.vectors).reshape(v.shape),
+        d_proxies=err.T @ rows,
+    )
 
 
 def unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,7 +291,7 @@ def cosine_scores(embeddings: np.ndarray, query_index: int):
 def combined_loss(
     embeddings: np.ndarray,
     relevance: np.ndarray,
-    class_ids: Sequence[str],
+    labels: np.ndarray,
     bank: ProxyBank,
     lam: float = 0.1,
     params: SmoothHeavisideParams = SmoothHeavisideParams(),
@@ -294,20 +300,20 @@ def combined_loss(
 
     Every batch element queries the remaining ones under cosine scoring;
     `relevance[q, j]` is candidate j's relevance for query q (the diagonal is
-    ignored). Queries whose in-batch relevance is all zero are skipped and
-    counted. The clustering term averages over all elements regardless.
+    ignored), and `labels[i]` is row i's proxy index in the bank. Queries
+    whose in-batch relevance is all zero are skipped and counted. The
+    clustering term averages over all elements regardless.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     relevance = np.asarray(relevance, dtype=np.float64)
     b = embeddings.shape[0]
     if relevance.shape != (b, b):
         raise ValueError(f"relevance must be ({b}, {b}), got {relevance.shape}")
-    if len(class_ids) != b:
-        raise ValueError("one class id per batch element required")
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
 
     scores, unit, norms = cosine_matrix(embeddings)
+    cluster = clustering_loss(unit, labels, bank)
     d_scores = np.zeros_like(scores)
     rank_total = 0.0
     included = 0
@@ -326,22 +332,12 @@ def combined_loss(
     if included:
         d_scores /= included
 
-    cluster_total = 0.0
-    d_unit_cluster = np.zeros_like(unit)
-    d_proxies = np.zeros_like(bank.vectors)
-    for i in range(b):
-        part = clustering_loss(unit[i], bank.index(class_ids[i]), bank)
-        cluster_total += part.value
-        d_unit_cluster[i] = part.d_embedding
-        d_proxies += part.d_proxies
-    cluster_value = cluster_total / b
-
-    d_unit = (1.0 - lam) * (d_scores + d_scores.T) @ unit + (lam / b) * d_unit_cluster
+    d_unit = (1.0 - lam) * (d_scores + d_scores.T) @ unit + lam * cluster.d_embedding
     return LossGradients(
-        value=(1.0 - lam) * rank_value + lam * cluster_value,
+        value=(1.0 - lam) * rank_value + lam * cluster.value,
         rank_value=rank_value,
-        cluster_value=cluster_value,
+        cluster_value=cluster.value,
         d_embedding=unit_rows_backprop(unit, norms, d_unit),
-        d_proxies=(lam / b) * d_proxies,
+        d_proxies=lam * cluster.d_proxies,
         skipped_queries=skipped,
     )

@@ -35,7 +35,7 @@ from .losses import (
     ProxyBank,
     SmoothHeavisideParams,
     combined_loss,
-    unit_rows,
+    cosine_matrix,
 )
 from .metrics import MetricsReport, ScoredRanking, evaluate_dataset
 from .taxonomy import RelevanceProfile, ancestor_levels
@@ -104,25 +104,55 @@ class TrainerConfig:
         return self.batch_size // self.m_per_class
 
 
+# the keys of each config object, as the README schema lists them
+_CONFIG_KEYS = {
+    "config": (
+        "model", "optimizer", "lr0", "epochs", "batch_size", "m_per_class",
+        "warmup_epochs", "seed", "eval_every", "recall_ks", "objective",
+    ),
+    "model": ("kind", "dim", "in_dim"),
+    "optimizer": ("kind", "momentum", "beta1", "beta2", "eps"),
+    "objective": ("lambda", "sigma", "profile", "heaviside"),
+    "objective.profile": ("kind", "alpha", "weights", "table"),
+}
+
+
+def _config_object(value, name: str) -> dict:
+    """`value` checked to be an object holding only the keys listed for `name`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {type(value).__name__}")
+    unknown = sorted(set(value) - set(_CONFIG_KEYS[name]))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {name}")
+    return value
+
+
 def config_from_dict(raw: dict, depth: int, in_dim: int | None = None) -> TrainerConfig:
     """Build a TrainerConfig from a plain JSON-style dict.
 
     `depth` resolves level-dependent profiles; `in_dim` fills the linear
-    model's input width when the config leaves it out.
+    model's input width when the config leaves it out. A section that is
+    not an object, or an unknown key, raises ValueError naming it.
     """
-    model = dict(raw.get("model", {}))
-    optimizer = dict(raw.get("optimizer", {}))
-    objective = dict(raw.get("objective", {}))
-    profile_spec = dict(objective.get("profile", {"kind": "alpha", "alpha": 1.0}))
+    raw = _config_object(raw, "config")
+    model = _config_object(raw.get("model", {}), "model")
+    optimizer = _config_object(raw.get("optimizer", {}), "optimizer")
+    objective = _config_object(raw.get("objective", {}), "objective")
+    profile_spec = _config_object(
+        objective.get("profile", {"kind": "alpha", "alpha": 1.0}), "objective.profile"
+    )
     kind = profile_spec.get("kind", "alpha")
     if kind == "alpha":
         profile = RelevanceProfile.alpha(float(profile_spec.get("alpha", 1.0)))
     elif kind == "weighted":
         profile = RelevanceProfile.weighted_ap(tuple(profile_spec["weights"]))
     elif kind == "explicit":
-        profile = RelevanceProfile.explicit(
-            {int(k): float(v) for k, v in profile_spec["table"].items()}
-        )
+        table = profile_spec["table"]
+        if not isinstance(table, dict):
+            raise ValueError(
+                f"objective.profile.table must be an object, got {type(table).__name__}"
+            )
+        profile = RelevanceProfile.explicit({int(k): float(v) for k, v in table.items()})
     elif kind == "fine_only":
         profile = RelevanceProfile.fine_only(depth)
     else:
@@ -276,7 +306,7 @@ class TrainerState:
     rng: np.random.Generator
     codes: np.ndarray
     class_rows: list[np.ndarray]
-    leaf_of_row: dict[int, str]
+    labels: np.ndarray  # proxy index of each training row, -1 elsewhere
     train_rows: np.ndarray
     eval_rows: np.ndarray
     steps_per_epoch: int
@@ -302,17 +332,19 @@ def init_state(ds: RetrievalDataset, config: TrainerConfig) -> TrainerState:
     train_rows = np.array([ds.row_of[i] for i in ds.train_ids], dtype=np.int64)
     if len(train_rows) == 0:
         raise InsufficientClassesError("no training instances outside the holdout")
-    leaf_of_row = {int(r): ds.taxonomy.leaf(ds.ids[r]) for r in train_rows}
-    classes = sorted({leaf_of_row[int(r)] for r in train_rows})
+    classes, inverse, counts = np.unique(
+        [ds.taxonomy.leaf(ds.ids[r]) for r in train_rows], return_inverse=True, return_counts=True
+    )
     if len(classes) < config.classes_per_batch:
         raise InsufficientClassesError(
             f"batch needs {config.classes_per_batch} classes, dataset has {len(classes)}"
         )
-    class_rows = [
-        np.array([r for r in train_rows if leaf_of_row[int(r)] == c], dtype=np.int64)
-        for c in classes
-    ]
-    bank = ProxyBank.random(classes, config.dim, rng, sigma=config.sigma)
+    labels = np.full(len(ds.ids), -1, dtype=np.int64)
+    labels[train_rows] = inverse
+    # a stable sort keeps each class's rows in train_rows order: the sampler
+    # draws positions in these arrays, so their order fixes the batches
+    class_rows = np.split(train_rows[np.argsort(inverse, kind="stable")], np.cumsum(counts)[:-1])
+    bank = ProxyBank.random(classes.tolist(), config.dim, rng, sigma=config.sigma)
     if config.model_kind == "table":
         model: TableModel | LinearModel = TableModel(len(ds.ids), config.dim, rng)
     else:
@@ -335,7 +367,7 @@ def init_state(ds: RetrievalDataset, config: TrainerConfig) -> TrainerState:
         rng=rng,
         codes=codes,
         class_rows=class_rows,
-        leaf_of_row=leaf_of_row,
+        labels=labels,
         train_rows=train_rows,
         eval_rows=eval_rows,
         steps_per_epoch=steps_per_epoch,
@@ -367,12 +399,7 @@ def train_step(state: TrainerState, ds: RetrievalDataset, batch_ids: Sequence[st
     levels = pairwise_levels(state.codes[rows])
     rel = relevance_rows(levels, config.profile, ds.taxonomy.depth)
     out = combined_loss(
-        emb,
-        rel,
-        [state.leaf_of_row[int(r)] for r in rows],
-        state.bank,
-        lam=config.lam,
-        params=config.heaviside,
+        emb, rel, state.labels[rows], state.bank, lam=config.lam, params=config.heaviside
     )
     if not math.isfinite(out.value):
         raise NonFiniteLossError(f"step {state.step}: loss became {out.value}")
@@ -405,8 +432,7 @@ def rankings_for_rows(
     profile: RelevanceProfile,
 ) -> list[ScoredRanking]:
     """Each row queries the remaining rows under cosine scoring."""
-    unit, _ = unit_rows(embeddings[rows])
-    scores = unit @ unit.T
+    scores, _, _ = cosine_matrix(embeddings[rows])
     levels = pairwise_levels(codes[rows])
     rel = relevance_rows(levels, profile, ds.taxonomy.depth)
     levels = np.where(rel > 0, levels, 0)  # profiles may zero a level; keep rel=0 <=> level=0

@@ -224,6 +224,84 @@ def oracle_asi(scores: np.ndarray, ids, levels: np.ndarray) -> float:
     return total / n_pos
 
 
+# --- independent loss oracles ---------------------------------------------------------
+
+
+def _oracle_sigmoid(x: float) -> float:
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def oracle_step_lower(t: float, params) -> float:
+    """Slope gamma below 0, then nu*t + mu capped at 1."""
+    if t < 0:
+        return params.gamma * t
+    return min(params.nu * t + params.mu, 1.0)
+
+
+def oracle_step_upper(t: float, params) -> float:
+    """Sigmoid below 0, sigmoid + 1/2 up to delta, then a slope-rho line."""
+    if t < 0:
+        return _oracle_sigmoid(t / params.tau)
+    if t <= params.delta:
+        return _oracle_sigmoid(t / params.tau) + 0.5
+    return params.rho * (t - params.delta) + _oracle_sigmoid(params.delta / params.tau) + 0.5
+
+
+def oracle_hap_surrogate(scores: np.ndarray, rel: np.ndarray, params) -> float:
+    """The smooth bound on 1 - h_ap, one positive and one candidate at a time.
+
+    For positive k, a more relevant candidate j adds rel_k * lower(s_j - s_k)
+    to the numerator and a less relevant one adds upper(s_j - s_k) to the
+    denominator; any other positive j != k adds the exact step [s_j > s_k],
+    times rel_j in the numerator and once in the denominator.
+    """
+    n = len(scores)
+    total_rel = sum(float(r) for r in rel)
+    acc = 0.0
+    for k in range(n):
+        if rel[k] <= 0:
+            continue
+        numer = float(rel[k])
+        denom = 1.0
+        for j in range(n):
+            if j == k:
+                continue
+            t = float(scores[j] - scores[k])
+            step = 1.0 if t > 0 else 0.0
+            if rel[j] > rel[k]:
+                numer += rel[k] * oracle_step_lower(t, params)
+            elif rel[j] < rel[k]:
+                denom += oracle_step_upper(t, params)
+            if rel[j] > 0 and rel[j] <= rel[k]:
+                numer += rel[j] * step
+            if rel[j] >= rel[k]:
+                denom += step
+        acc += numer / denom
+    return 1.0 - acc / total_rel
+
+
+def oracle_clustering(embeddings: np.ndarray, labels, vectors: np.ndarray, sigma: float):
+    """Mean proxy softmax cross-entropy, one row at a time: (value, d_embedding, d_proxies)."""
+    b = len(labels)
+    value = 0.0
+    d_embedding = np.zeros_like(embeddings)
+    d_proxies = np.zeros_like(vectors)
+    for i in range(b):
+        v, y = embeddings[i], int(labels[i])
+        logits = vectors @ v / sigma
+        logits -= logits.max()
+        exp = np.exp(logits)
+        q = exp / exp.sum()
+        value += float(np.log(exp.sum()) - logits[y])
+        d_embedding[i] = (vectors.T @ q - vectors[y]) / sigma
+        d_proxies += np.outer(q, v) / sigma
+        d_proxies[y] -= v / sigma
+    return value / b, d_embedding / b, d_proxies / b
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

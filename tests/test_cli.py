@@ -253,6 +253,52 @@ class TestTrainCommand:
         assert f"bad config: profile has {len(weights)} weights for depth 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_feature_is_data_error(self, tmp_path, capsys, value):
+        data, config = write_train_inputs(tmp_path)
+        features = data / FEATURES_FILE
+        first, rest = features.read_text().split("\n", 1)
+        instance_id, payload = first.split("\t")
+        features.write_text(f"{instance_id}\t{value},{payload.split(',', 1)[1]}\n{rest}")
+        code = run(["train", "--data", str(data), "--config", str(config),
+                    "--out", str(tmp_path / "run"), "--quiet"])
+        assert code == 2
+        assert "hirank train: features must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ([1], "config must be an object, got list"),
+            ({"model": "linear"}, "model must be an object, got str"),
+            (
+                {"objective": {"profile": {"kind": "explicit", "table": [0.5, 1.0]}}},
+                "objective.profile.table must be an object, got list",
+            ),
+            ({"epoch": 1}, "unknown key 'epoch' in config"),
+            ({"model": {"kind": "linear", "dims": 4}}, "unknown key 'dims' in model"),
+            ({"optimizer": {"kind": "sgd", "lr": 0.1}}, "unknown key 'lr' in optimizer"),
+            ({"objective": {"lamda": 0.1}}, "unknown key 'lamda' in objective"),
+            (
+                {"objective": {"profile": {"kind": "alpha", "alhpa": 2.0}}},
+                "unknown key 'alhpa' in objective.profile",
+            ),
+        ],
+        ids=[
+            "document_not_object", "section_not_object", "table_not_object", "top_level_typo",
+            "model_typo", "optimizer_typo", "objective_typo", "profile_typo",
+        ],
+    )
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, document, message):
+        data, config = write_train_inputs(tmp_path, document if isinstance(document, dict) else None)
+        if not isinstance(document, dict):
+            config.write_text(json.dumps(document))
+        out = tmp_path / "run"
+        code = run(["train", "--data", str(data), "--config", str(config),
+                    "--out", str(out), "--quiet"])
+        assert code == 1
+        assert f"hirank train: bad config: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_progress_lines_unless_quiet(self, tmp_path, capsys):
         data, config = write_train_inputs(tmp_path, {"epochs": 1})
         assert run(["train", "--data", str(data), "--config", str(config),

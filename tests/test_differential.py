@@ -8,6 +8,11 @@ The vectorized ancestor levels and relevance-profile tables are checked the
 same way, for exact equality: levels on identical paths, depth 1 and paths
 sharing no root; profile tables on batches with an empty level and on
 queries without a single in-batch positive.
+
+The training losses are checked against plain loops too: the H-AP surrogate
+on tied lists with negatives, one candidate, all-equal and arbitrary
+relevance; the batch clustering loss against one softmax per row, for a
+batch of one, repeated labels and a batch from a single class.
 """
 
 import numpy as np
@@ -17,6 +22,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     alpha_relevance,
+    oracle_clustering,
+    oracle_hap_surrogate,
     oracle_ancestor_level,
     oracle_ap_level,
     oracle_asi,
@@ -28,6 +35,7 @@ from conftest import (
     weighted_relevance,
 )
 from hirank.errors import EmptyLevelDivisionError
+from hirank.losses import ProxyBank, SmoothHeavisideParams, clustering_loss, hap_surrogate
 from hirank.metrics import (
     ScoredRanking,
     ap_level,
@@ -207,3 +215,80 @@ def test_profile_table_matches_the_relevance_oracles(case):
         part = assign_relevance(part, profile)
         assert np.array_equal(part.relevance, rel[q, others])
         assert np.array_equal(part.levels, np.where(rel[q, others] > 0, lv, 0))
+
+
+# --- training losses ------------------------------------------------------------------
+
+SURROGATE_SHAPES = ("levels", "single", "equal", "arbitrary")
+HEAVISIDE = (
+    SmoothHeavisideParams(),
+    SmoothHeavisideParams(gamma=2.0, nu=5.0, mu=0.3, tau=0.1, rho=10.0, delta=0.3),
+)
+
+
+@st.composite
+def surrogate_lists(draw) -> tuple[np.ndarray, np.ndarray, SmoothHeavisideParams]:
+    """Scores with at most three distinct values and at least one positive."""
+    shape = draw(st.sampled_from(SURROGATE_SHAPES))
+    n = 1 if shape == "single" else draw(st.integers(2, 30))
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3, unique=True))
+    scores = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    if shape == "equal":
+        rel = np.full(n, draw(st.sampled_from([0.25, 1.0, 3.0])))
+    elif shape == "arbitrary":
+        rel = np.array(draw(st.lists(st.sampled_from([0.0, 0.01, 0.5, 7.0]) | st.floats(0.01, 10.0),
+                                     min_size=n, max_size=n)))
+    else:
+        levels = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        rel = alpha_relevance(levels, 3)
+    if not np.any(rel > 0):
+        rel[draw(st.integers(0, n - 1))] = 1.0
+    return scores, rel, draw(st.sampled_from(HEAVISIDE))
+
+
+@DIFFERENTIAL
+@given(surrogate_lists())
+def test_surrogate_matches_its_oracle(case):
+    scores, rel, params = case
+    value = hap_surrogate(scores, rel, params).value
+    assert value == pytest.approx(oracle_hap_surrogate(scores, rel, params), abs=1e-12)
+
+
+@st.composite
+def clustering_batches(draw) -> tuple[np.ndarray, np.ndarray, ProxyBank]:
+    shape = draw(st.sampled_from(("single", "repeated", "one_class")))
+    n_classes = draw(st.integers(1, 6))
+    dim = draw(st.integers(2, 8))
+    b = 1 if shape == "single" else draw(st.integers(2, 12))
+    if shape == "one_class":
+        labels = np.full(b, draw(st.integers(0, n_classes - 1)))
+    else:
+        labels = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=b, max_size=b)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bank = ProxyBank.random([f"c{i}" for i in range(n_classes)], dim, rng,
+                            sigma=draw(st.sampled_from([0.05, 0.3, 1.0])))
+    embeddings = rng.standard_normal((b, dim))
+    if draw(st.booleans()):
+        embeddings /= np.linalg.norm(embeddings, axis=1, keepdims=True)
+    return embeddings, labels, bank
+
+
+@DIFFERENTIAL
+@given(clustering_batches())
+def test_batch_clustering_matches_the_per_row_loop(case):
+    embeddings, labels, bank = case
+    value, d_embedding, d_proxies = oracle_clustering(embeddings, labels, bank.vectors, bank.sigma)
+    out = clustering_loss(embeddings, labels, bank)
+    assert out.d_embedding.shape == d_embedding.shape
+    # Each output is a difference of terms of the logits' size, v . p / sigma,
+    # so a saturated softmax leaves both forms a rounding error of that size:
+    # the tolerance is 1e-12 relative to it.
+    v_max, p_max, b = np.abs(embeddings).max(), np.abs(bank.vectors).max(), len(labels)
+    assert abs(out.value - value) <= 1e-12 * v_max * p_max / bank.sigma
+    assert np.abs(out.d_embedding - d_embedding).max() <= 1e-12 * p_max / (b * bank.sigma)
+    assert np.abs(out.d_proxies - d_proxies).max() <= 1e-12 * v_max / (b * bank.sigma)
+    if b == 1:
+        row = clustering_loss(embeddings[0], int(labels[0]), bank)
+        assert row.value == out.value
+        assert np.array_equal(row.d_embedding, out.d_embedding[0])
+        assert np.array_equal(row.d_proxies, out.d_proxies)
