@@ -27,11 +27,6 @@ from .errors import (
 )
 
 
-def _sigmoid(t):
-    """Logistic sigmoid through tanh, which cannot overflow for any finite t."""
-    return 0.5 + 0.5 * np.tanh(0.5 * t)
-
-
 @dataclass(frozen=True)
 class SmoothHeavisideParams:
     """Shape parameters for the two smoothed step profiles.
@@ -80,15 +75,35 @@ def heaviside_upper(t, params: SmoothHeavisideParams = SmoothHeavisideParams()):
     Returns (value, slope), vectorized over t. A sigmoid of temperature tau,
     lifted by 1/2 at t >= 0 so violations keep a visible value, and replaced
     by a slope-rho linear tail past delta so large violations keep a large
-    gradient instead of a saturated one.
+    gradient instead of a saturated one. One tanh, of min(t, delta), serves
+    every branch; the lift and the tail are masked updates. At t = -inf both
+    outputs are exactly 0.
     """
     t = np.asarray(t, dtype=np.float64)
-    sig = _sigmoid(t / params.tau)
-    dsig = sig * (1.0 - sig) / params.tau
-    tail = params.rho * (t - params.delta) + _sigmoid(params.delta / params.tau) + 0.5
-    value = np.where(t < 0, sig, np.where(t <= params.delta, sig + 0.5, tail))
-    slope = np.where(t <= params.delta, dsig, params.rho)
+    value, slope = np.empty_like(t), np.empty_like(t)
+    _heaviside_upper_into(t, value, slope, np.empty_like(t), params)
     return value, slope
+
+
+def _heaviside_upper_into(t, value, slope, sig, params: SmoothHeavisideParams) -> None:
+    """heaviside_upper of t written into `value` and `slope`, and the sigmoid
+    into `sig`. All four arrays have t's shape."""
+    # the sigmoid through tanh cannot overflow for any finite t; dividing by
+    # 2 tau rounds exactly as halving t / tau does
+    np.minimum(t, params.delta, out=sig)
+    sig /= 2.0 * params.tau
+    np.tanh(sig, out=sig)
+    sig *= 0.5
+    sig += 0.5
+    np.subtract(1.0, sig, out=slope)
+    slope *= sig
+    slope /= params.tau
+    np.copyto(slope, params.rho, where=t > params.delta)
+    np.subtract(t, params.delta, out=value)
+    np.maximum(value, 0.0, out=value)
+    value *= params.rho
+    value += sig
+    np.add(value, 0.5, out=value, where=t >= 0)
 
 
 @dataclass
@@ -127,40 +142,118 @@ def hap_surrogate(
         relevance = np.asarray(relevance, dtype=np.float64)
     if scores.shape != relevance.shape or scores.ndim != 1:
         raise ValueError("scores and relevance must be 1-d arrays of equal length")
+    _check_rows(scores, relevance)
+    if relevance.sum() <= 0:
+        raise NoPositivesError("no positive candidate in scored list")
+    value, d_scores = _surrogate_rows(scores[None], relevance[None], params)
+    return LossGradients(value=float(value[0]), d_scores=d_scores[0])
+
+
+def _check_rows(scores: np.ndarray, relevance: np.ndarray) -> None:
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
     if np.any(relevance < 0):
         raise ValueError("relevance must be non-negative")
-    total = relevance.sum()
-    if total <= 0:
-        raise NoPositivesError("no positive candidate in scored list")
 
-    pos = np.flatnonzero(relevance > 0)
-    rel_pos = relevance[pos]  # (P,)
-    diff = scores[None, :] - scores[pos, None]  # (P, n): s_j - s_k
-    low_v, low_s = heaviside_lower(diff, params)
-    up_v, up_s = heaviside_upper(diff, params)
-    step = (diff > 0).astype(np.float64)
 
-    rel_j = relevance[None, :]
-    rel_k = rel_pos[:, None]
-    more = rel_j > rel_k
-    less = rel_j < rel_k
-    # the exact-step terms need no self or zero-relevance mask: the self
-    # pair has step 0, a negative adds rel_j = 0, and ~less implies rel_j > 0
-    numer = rel_pos + rel_pos * (low_v * more).sum(axis=1) + (rel_j * step * ~more).sum(axis=1)
-    denom = 1.0 + (step * ~less).sum(axis=1) + (up_v * less).sum(axis=1)
-    value = 1.0 - float((numer / denom).sum() / total)
+# positive x candidate entries per chunk of kernel temporaries
+_CHUNK = 1 << 15
 
-    # d(value)/d(s_j) for the k-th positive's term; s_k gets the negated sum.
-    d_numer = rel_k * low_s * more
-    d_denom = up_s * less
-    pair = -(d_numer * denom[:, None] - numer[:, None] * d_denom) / (
-        total * denom[:, None] ** 2
-    )
-    d_scores = pair.sum(axis=0)
-    d_scores[pos] -= pair.sum(axis=1)
-    return LossGradients(value=value, d_scores=d_scores)
+
+def _run_bounds(differs: np.ndarray, q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end columns of the run holding each position (q[i], p[i]).
+
+    `differs` marks the last column of every run in each row; the last
+    column is always marked, so no run crosses a row.
+    """
+    offset = q * differs.shape[1]
+    ends = np.flatnonzero(differs) + 1
+    run = np.searchsorted(ends, offset + p, side="right")
+    return np.concatenate(([0], ends))[run] - offset, ends[run] - offset
+
+
+def _surrogate_rows(scores: np.ndarray, relevance: np.ndarray, params: SmoothHeavisideParams):
+    """The surrogate of each (m, n) row, with its (m, n) score gradient.
+
+    Rows must be checked already: non-negative relevance, at least one
+    positive, and finite scores, except that a candidate of relevance 0 may
+    score -inf: it then adds exact zeros to every term and gets a zero
+    gradient. Positives go through in row-major chunks of at most `_CHUNK`
+    positive x candidate entries, and each chunk sorts the rows it touches
+    by (relevance, score). A positive's less relevant, equally relevant and
+    more relevant candidates are then the sorted columns [0, lo), [lo, hi)
+    and [hi, n). The upper step is evaluated on the first block only, less
+    a prefix where it is exactly 0, and the lower step on the last; the
+    equal block needs only its count of strictly higher scores, which the
+    sort gives. A chunk's blocks are padded to a common width, with -inf
+    scores on the less relevant side (the upper step is exactly 0 there)
+    and a mask on the more relevant side.
+    """
+    m, n = scores.shape
+    ends = np.cumsum(np.count_nonzero(relevance > 0, axis=1))  # positives up to each row's end
+    total = relevance.sum(axis=1)
+    sums = np.zeros(m)  # each row's sum of numer / denom over its positives
+    d_scores = np.zeros((m, n))
+    col = np.arange(n)
+    per = max(1, _CHUNK // n)
+    # the less relevant block, its step values, slopes and sigmoid: one buffer
+    # for every chunk, as blocks of varying width allocated afresh fragment
+    # the heap (train-bigbatch peak RSS rose by up to 3 MB on some seeds)
+    work = np.empty((4, per * n))
+    for start in range(0, ends[-1], per):
+        index = np.arange(start, min(start + per, ends[-1]))
+        row = np.searchsorted(ends, index, side="right")
+        rows = slice(row[0], row[-1] + 1)
+        each = np.arange(rows.stop - rows.start)[:, None]
+        order = np.lexsort((scores[rows], relevance[rows]), axis=1)
+        s, r = scores[rows][each, order], relevance[rows][each, order]
+        # sorted by relevance, a row's positives are its last columns
+        q, p = row - rows.start, n - ends[row] + index
+        differs = np.ones(s.shape, dtype=bool)
+        differs[:, :-1] = r[:, 1:] != r[:, :-1]
+        lo, hi = _run_bounds(differs, q, p)
+        differs[:, :-1] |= s[:, 1:] != s[:, :-1]
+        above_equal = hi - _run_bounds(differs, q, p)[1]
+        s_k, r_k, total_k = s[q, p], r[q, p], total[row]
+        own = q == each  # (rows, chunk): the row each positive queries
+        starts = np.searchsorted(q, each[:, 0])  # each row's first positive
+
+        # float64 tanh is exactly -1 below -20, so the upper step is exactly 0
+        # at s_j < s_k - 40 tau: the block skips the candidates of relevance 0
+        # (a prefix of each row) that lie that far below every positive
+        floor = np.minimum.reduceat(s_k, starts) - 40.0 * params.tau
+        first = ((s < floor[:, None]) & (r == 0)).sum(axis=1).min()
+        width = lo.max()
+        t, up_v, up_s, spare = (w[: len(q) * (width - first)].reshape(len(q), -1) for w in work)
+        np.subtract(s[q][:, first:width], s_k[:, None], out=t)
+        t[col[first:width] >= lo[:, None]] = -np.inf
+        np.greater(t, 0, out=spare)
+        below = (spare @ r[:, first:width].T)[own.T]  # sum of rel_j over [s_j > s_k]
+        _heaviside_upper_into(t, up_v, up_s, spare, params)
+
+        begin = hi.min()
+        t = s[q, begin:] - s_k[:, None]
+        more = col[begin:] >= hi[:, None]
+        low_v, low_s = heaviside_lower(t, params)
+        low_s *= more
+        # exact steps: rel_j for less relevant and rel_k for equal candidates
+        # in the numerator, 1 for equal and more relevant ones in the denominator
+        numer = r_k + r_k * (low_v * more).sum(axis=1) + (below + r_k * above_equal)
+        denom = 1.0 + (above_equal + ((t > 0) & more).sum(axis=1)) + up_v.sum(axis=1)
+        # each row sums its terms in the caller's column order, as one list would
+        by_column = np.argsort(q * n + order[q, p])
+        sums[rows] += np.add.reduceat((numer / denom)[by_column], starts)
+
+        # d value / d s_j: -rel_k low_s / (total denom) for a more relevant
+        # candidate j, numer up_s / (total denom^2) for a less relevant one
+        up_scale = numer / (total_k * denom**2)
+        low_scale = -r_k / (total_k * denom)
+        d = np.zeros(s.shape)
+        d[:, first:width] = (own * up_scale) @ up_s
+        d[:, begin:] += (own * low_scale) @ low_s
+        d[q, p] -= up_scale * up_s.sum(axis=1) + low_scale * low_s.sum(axis=1)
+        d_scores[rows][each, order] += d
+    return 1.0 - sums / total, d_scores
 
 
 @dataclass
@@ -314,23 +407,21 @@ def combined_loss(
 
     scores, unit, norms = cosine_matrix(embeddings)
     cluster = clustering_loss(unit, labels, bank)
-    d_scores = np.zeros_like(scores)
-    rank_total = 0.0
-    included = 0
-    skipped = 0
-    others = ~np.eye(b, dtype=bool)
-    for q in range(b):
-        rel = relevance[q, others[q]]
-        if rel.sum() <= 0:
-            skipped += 1
-            continue
-        part = hap_surrogate(scores[q, others[q]], rel, params)
-        rank_total += part.value
-        included += 1
-        d_scores[q, others[q]] += part.d_scores
-    rank_value = rank_total / included if included else 0.0
+    # a query's own column becomes a candidate scored -inf with relevance 0,
+    # which adds exact zeros to every term and gets a zero gradient
+    rel = np.where(np.eye(b, dtype=bool), 0.0, relevance)
+    ranked = rel.sum(axis=1) > 0
+    included = int(ranked.sum())
+    rows = slice(None) if included == b else ranked  # a view unless a query is skipped
+    rank_value, d_ranked = 0.0, 0.0
     if included:
-        d_scores /= included
+        _check_rows(scores[rows], rel[rows])
+        np.fill_diagonal(scores, -np.inf)
+        values, d_ranked = _surrogate_rows(scores[rows], rel[rows], params)
+        rank_value = float(values.sum()) / included
+        d_ranked /= included
+    d_scores = np.zeros_like(scores)
+    d_scores[rows] = d_ranked
 
     d_unit = (1.0 - lam) * (d_scores + d_scores.T) @ unit + lam * cluster.d_embedding
     return LossGradients(
@@ -339,5 +430,5 @@ def combined_loss(
         cluster_value=cluster.value,
         d_embedding=unit_rows_backprop(unit, norms, d_unit),
         d_proxies=lam * cluster.d_proxies,
-        skipped_queries=skipped,
+        skipped_queries=b - included,
     )

@@ -127,12 +127,26 @@ def _config_object(value, name: str) -> dict:
     return value
 
 
+def _config_key(section: dict, key: str, name: str):
+    """`section[key]`, or a ValueError naming the missing key."""
+    if key not in section:
+        raise ValueError(f"missing key {key!r} in {name}")
+    return section[key]
+
+
+def _config_list(value, name: str):
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {type(value).__name__}")
+    return value
+
+
 def config_from_dict(raw: dict, depth: int, in_dim: int | None = None) -> TrainerConfig:
     """Build a TrainerConfig from a plain JSON-style dict.
 
     `depth` resolves level-dependent profiles; `in_dim` fills the linear
     model's input width when the config leaves it out. A section that is
-    not an object, or an unknown key, raises ValueError naming it.
+    not an object, an unknown key, a missing profile key and a list of the
+    wrong type raise ValueError naming the key.
     """
     raw = _config_object(raw, "config")
     model = _config_object(raw.get("model", {}), "model")
@@ -145,9 +159,12 @@ def config_from_dict(raw: dict, depth: int, in_dim: int | None = None) -> Traine
     if kind == "alpha":
         profile = RelevanceProfile.alpha(float(profile_spec.get("alpha", 1.0)))
     elif kind == "weighted":
-        profile = RelevanceProfile.weighted_ap(tuple(profile_spec["weights"]))
+        weights = _config_key(profile_spec, "weights", "objective.profile")
+        profile = RelevanceProfile.weighted_ap(
+            tuple(_config_list(weights, "objective.profile.weights"))
+        )
     elif kind == "explicit":
-        table = profile_spec["table"]
+        table = _config_key(profile_spec, "table", "objective.profile")
         if not isinstance(table, dict):
             raise ValueError(
                 f"objective.profile.table must be an object, got {type(table).__name__}"
@@ -178,7 +195,7 @@ def config_from_dict(raw: dict, depth: int, in_dim: int | None = None) -> Traine
         profile=profile,
         heaviside=heaviside,
         eval_every=int(raw.get("eval_every", 1)),
-        recall_ks=tuple(int(k) for k in raw.get("recall_ks", (1, 4))),
+        recall_ks=tuple(int(k) for k in _config_list(raw.get("recall_ks", [1, 4]), "recall_ks")),
     )
 
 
@@ -403,6 +420,9 @@ def train_step(state: TrainerState, ds: RetrievalDataset, batch_ids: Sequence[st
     )
     if not math.isfinite(out.value):
         raise NonFiniteLossError(f"step {state.step}: loss became {out.value}")
+    for name, grad in (("embedding", out.d_embedding), ("proxy", out.d_proxies)):
+        if not np.all(np.isfinite(grad)):
+            raise NonFiniteLossError(f"step {state.step}: the {name} gradient is not finite")
     freeze_model = config.model_kind == "table" and state.in_warmup
     if not freeze_model:
         state.optimizer.update(

@@ -283,6 +283,90 @@ def oracle_hap_surrogate(scores: np.ndarray, rel: np.ndarray, params) -> float:
     return 1.0 - acc / total_rel
 
 
+def oracle_slope_lower(t: float, params) -> float:
+    """Derivative of oracle_step_lower away from its kinks."""
+    if t < 0:
+        return params.gamma
+    return params.nu if params.nu * t + params.mu < 1.0 else 0.0
+
+
+def oracle_slope_upper(t: float, params) -> float:
+    """Derivative of oracle_step_upper away from its kinks."""
+    if t > params.delta:
+        return params.rho
+    sig = _oracle_sigmoid(t / params.tau)
+    return sig * (1.0 - sig) / params.tau
+
+
+def oracle_hap_surrogate_grad(scores: np.ndarray, rel: np.ndarray, params) -> np.ndarray:
+    """d(oracle_hap_surrogate)/d(scores), one positive and one candidate at a time.
+
+    Positive k's term is numer_k / denom_k. A more relevant candidate j moves
+    numer_k by rel_k * lower'(s_j - s_k) per unit of s_j, a less relevant one
+    moves denom_k by upper'(s_j - s_k); s_k itself gets the negated sums.
+    The exact steps are flat away from ties and add nothing.
+    """
+    n = len(scores)
+    total_rel = sum(float(r) for r in rel)
+    grad = np.zeros(n)
+    for k in range(n):
+        if rel[k] <= 0:
+            continue
+        numer = float(rel[k])
+        denom = 1.0
+        d_numer = np.zeros(n)
+        d_denom = np.zeros(n)
+        for j in range(n):
+            if j == k:
+                continue
+            t = float(scores[j] - scores[k])
+            step = 1.0 if t > 0 else 0.0
+            if rel[j] > rel[k]:
+                numer += rel[k] * oracle_step_lower(t, params)
+                d_numer[j] += rel[k] * oracle_slope_lower(t, params)
+                d_numer[k] -= rel[k] * oracle_slope_lower(t, params)
+            elif rel[j] < rel[k]:
+                denom += oracle_step_upper(t, params)
+                d_denom[j] += oracle_slope_upper(t, params)
+                d_denom[k] -= oracle_slope_upper(t, params)
+            if rel[j] > 0 and rel[j] <= rel[k]:
+                numer += rel[j] * step
+            if rel[j] >= rel[k]:
+                denom += step
+        for j in range(n):
+            grad[j] -= (d_numer[j] * denom - numer * d_denom[j]) / (denom * denom * total_rel)
+    return grad
+
+
+def oracle_rank_loss(embeddings: np.ndarray, relevance: np.ndarray, params):
+    """combined_loss at lam = 0 as a loop over queries: (value, d_embedding, skipped).
+
+    Each query ranks the other rows by cosine score; a query without an
+    in-batch positive is skipped and counted, the rest are averaged.
+    """
+    b = len(embeddings)
+    norms = np.sqrt((embeddings * embeddings).sum(axis=1, keepdims=True))
+    unit = embeddings / norms
+    scores = unit @ unit.T
+    d_scores = np.zeros((b, b))
+    value = 0.0
+    included = 0
+    for q in range(b):
+        others = [j for j in range(b) if j != q]
+        rel = relevance[q, others]
+        if rel.sum() <= 0:
+            continue
+        value += oracle_hap_surrogate(scores[q, others], rel, params)
+        d_scores[q, others] += oracle_hap_surrogate_grad(scores[q, others], rel, params)
+        included += 1
+    if included:
+        value /= included
+        d_scores /= included
+    d_unit = (d_scores + d_scores.T) @ unit
+    d_embedding = (d_unit - (d_unit * unit).sum(axis=1, keepdims=True) * unit) / norms
+    return value, d_embedding, b - included
+
+
 def oracle_clustering(embeddings: np.ndarray, labels, vectors: np.ndarray, sigma: float):
     """Mean proxy softmax cross-entropy, one row at a time: (value, d_embedding, d_proxies)."""
     b = len(labels)

@@ -282,10 +282,20 @@ class TestTrainCommand:
                 {"objective": {"profile": {"kind": "alpha", "alhpa": 2.0}}},
                 "unknown key 'alhpa' in objective.profile",
             ),
+            (
+                {"objective": {"profile": {"kind": "weighted"}}},
+                "missing key 'weights' in objective.profile",
+            ),
+            (
+                {"objective": {"profile": {"kind": "explicit"}}},
+                "missing key 'table' in objective.profile",
+            ),
+            ({"recall_ks": 3}, "recall_ks must be a list, got int"),
         ],
         ids=[
             "document_not_object", "section_not_object", "table_not_object", "top_level_typo",
             "model_typo", "optimizer_typo", "objective_typo", "profile_typo",
+            "weights_missing", "table_missing", "recall_ks_not_list",
         ],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, document, message):

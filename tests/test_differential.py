@@ -11,9 +11,16 @@ queries without a single in-batch positive.
 
 The training losses are checked against plain loops too: the H-AP surrogate
 on tied lists with negatives, one candidate, all-equal and arbitrary
-relevance; the batch clustering loss against one softmax per row, for a
-batch of one, repeated labels and a batch from a single class.
+relevance; its score gradient, and the batched rank loss with its embedding
+gradient against one query at a time, also on many distinct relevance
+values, score gaps in the linear tail and the saturated sigmoid, queries
+without a positive, and chunk sizes down to one positive per chunk, with
+every floating-point warning raised as an error; the batch clustering loss
+against one softmax per row, for a batch of one, repeated labels and a
+batch from a single class.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +31,8 @@ from conftest import (
     alpha_relevance,
     oracle_clustering,
     oracle_hap_surrogate,
+    oracle_hap_surrogate_grad,
+    oracle_rank_loss,
     oracle_ancestor_level,
     oracle_ap_level,
     oracle_asi,
@@ -34,8 +43,15 @@ from conftest import (
     oracle_relevance_rows,
     weighted_relevance,
 )
+from hirank import losses
 from hirank.errors import EmptyLevelDivisionError
-from hirank.losses import ProxyBank, SmoothHeavisideParams, clustering_loss, hap_surrogate
+from hirank.losses import (
+    ProxyBank,
+    SmoothHeavisideParams,
+    clustering_loss,
+    combined_loss,
+    hap_surrogate,
+)
 from hirank.metrics import (
     ScoredRanking,
     ap_level,
@@ -252,6 +268,111 @@ def test_surrogate_matches_its_oracle(case):
     scores, rel, params = case
     value = hap_surrogate(scores, rel, params).value
     assert value == pytest.approx(oracle_hap_surrogate(scores, rel, params), abs=1e-12)
+
+
+GRADIENT_SHAPES = ("ties", "single", "equal", "distinct", "wide")
+
+
+@st.composite
+def gradient_lists(draw) -> tuple[np.ndarray, np.ndarray, SmoothHeavisideParams]:
+    """Tied scores, one candidate, all-equal relevance, many distinct relevance
+    values, and scores spread over [-3, 3]: gaps past delta (the linear tail)
+    and below -0.4 (a saturated sigmoid)."""
+    shape = draw(st.sampled_from(GRADIENT_SHAPES))
+    n = 1 if shape == "single" else draw(st.integers(2, 24))
+    # subnormal scores would raise underflow below, which is not what that checks
+    spread = 3.0 if shape == "wide" else 1.0
+    score = st.floats(-spread, spread, allow_subnormal=False)
+    if shape == "ties":
+        values = draw(st.lists(score, min_size=1, max_size=3, unique=True))
+        scores = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    else:
+        scores = np.array(draw(st.lists(score, min_size=n, max_size=n)))
+    if shape == "equal":
+        rel = np.full(n, draw(st.sampled_from([0.25, 1.0, 3.0])))
+    elif shape == "distinct":
+        rel = np.array(draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n, unique=True)))
+        rel[: draw(st.integers(0, n - 1))] = 0.0
+    else:
+        levels = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        rel = alpha_relevance(levels, 3)
+    if not np.any(rel > 0):
+        rel[draw(st.integers(0, n - 1))] = 1.0
+    return scores, rel, draw(st.sampled_from(HEAVISIDE))
+
+
+def steepest_share(rel: np.ndarray, params: SmoothHeavisideParams) -> float:
+    """The largest score gradient one comparison can give: the steepest slope
+    of either step times the largest share of the list's total relevance."""
+    steepest = max(0.25 / params.tau, params.rho, params.gamma, params.nu)
+    return steepest * rel.max() / rel.sum()
+
+
+def assert_close_to_largest(actual: np.ndarray, expected: np.ndarray, floor: float) -> None:
+    """Every entry within 1e-12 of the largest expected entry's magnitude.
+
+    That magnitude counts as at least `floor`: a sigmoid within eps of 0 or
+    1 keeps no relative digits, in the oracle's exp form or the library's
+    tanh form, so a gradient made only of saturated slopes (1e-15 and less)
+    is compared at the scale an unsaturated comparison would have.
+    """
+    assert actual.shape == expected.shape
+    scale = max(np.abs(expected).max(initial=0.0), floor)
+    assert np.abs(actual - expected).max(initial=0.0) <= 1e-12 * scale
+
+
+# chunk sizes that split lists and rows across chunks, down to one positive each
+CHUNKS = st.sampled_from([1, 40, 300, losses._CHUNK])
+
+
+@DIFFERENTIAL
+@given(gradient_lists(), CHUNKS)
+def test_surrogate_gradient_matches_its_oracle(case, chunk):
+    scores, rel, params = case
+    with np.errstate(all="raise"), mock.patch.object(losses, "_CHUNK", chunk):
+        out = hap_surrogate(scores, rel, params)
+    assert out.value == pytest.approx(oracle_hap_surrogate(scores, rel, params), abs=1e-12)
+    expected = oracle_hap_surrogate_grad(scores, rel, params)
+    assert_close_to_largest(out.d_scores, expected, steepest_share(rel, params))
+
+
+@st.composite
+def rank_batches(draw) -> tuple[np.ndarray, np.ndarray, SmoothHeavisideParams]:
+    """Embedding batches whose queries include ties (repeated rows), all-equal
+    and many distinct relevance values, and queries without a positive."""
+    b = draw(st.integers(1, 10))
+    dim = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    embeddings = rng.standard_normal((b, dim))
+    repeats = draw(st.lists(st.integers(0, b - 1), max_size=b))
+    if repeats:
+        embeddings[repeats] = embeddings[repeats[0]]  # repeated rows tie their scores
+    kind = draw(st.sampled_from(("levels", "equal", "distinct")))
+    if kind == "levels":
+        relevance = rng.integers(0, 4, (b, b)) / 3.0
+    elif kind == "equal":
+        relevance = np.ones((b, b))
+    else:
+        relevance = rng.uniform(0.01, 10.0, (b, b))
+    relevance[draw(st.lists(st.integers(0, b - 1), max_size=b))] = 0.0
+    return embeddings, relevance, draw(st.sampled_from(HEAVISIDE))
+
+
+@DIFFERENTIAL
+@given(rank_batches(), CHUNKS)
+def test_batch_rank_loss_matches_the_per_query_loop(case, chunk):
+    embeddings, relevance, params = case
+    value, d_embedding, skipped = oracle_rank_loss(embeddings, relevance, params)
+    labels = np.zeros(len(embeddings), dtype=np.int64)
+    bank = ProxyBank(("c0",), np.ones((1, embeddings.shape[1])))
+    with np.errstate(all="raise"), mock.patch.object(losses, "_CHUNK", chunk):
+        out = combined_loss(embeddings, relevance, labels, bank, lam=0.0, params=params)
+    assert out.skipped_queries == skipped
+    assert out.value == pytest.approx(value, abs=1e-12)
+    ranked = [q for q in range(len(relevance)) if np.delete(relevance[q], q).sum() > 0]
+    floor = max((steepest_share(np.delete(relevance[q], q), params) for q in ranked), default=0.0)
+    norms = np.linalg.norm(embeddings, axis=1)
+    assert_close_to_largest(out.d_embedding, d_embedding, floor / norms.min())
 
 
 @st.composite

@@ -328,6 +328,22 @@ class TestTrainStep:
         with pytest.raises(NonFiniteLossError):
             train_step(state, ds, sample_batch(state, ds))
 
+    @pytest.mark.parametrize("gradient", ["d_embedding", "d_proxies"])
+    def test_nonfinite_gradient_aborts(self, monkeypatch, gradient):
+        ds = toy_dataset()
+        state = init_state(ds, toy_config())
+        batch = sample_batch(state, ds)
+        grads = {
+            "d_embedding": np.zeros((len(batch), state.config.dim)),
+            "d_proxies": np.zeros_like(state.bank.vectors),
+        }
+        grads[gradient][0, 0] = float("nan")
+        monkeypatch.setattr(
+            "hirank.trainer.combined_loss", lambda *a, **k: LossGradients(value=0.5, **grads)
+        )
+        with pytest.raises(NonFiniteLossError, match=f"step {state.step}: the .* gradient"):
+            train_step(state, ds, batch)
+
     def test_toy_table_loss_decreases_over_50_steps(self):
         ds = toy_dataset(branching=(3,), per_leaf=4, dim=6, holdout=0.0)
         cfg = toy_config(
