@@ -40,7 +40,6 @@ from .losses import (
     SmoothHeavisideParams,
     clustering_loss,
     combined_loss,
-    cosine_scores,
     hap_surrogate,
     heaviside_lower,
     heaviside_upper,
@@ -84,7 +83,6 @@ __all__ = [
     "ProxyBank",
     "clustering_loss",
     "combined_loss",
-    "cosine_scores",
     "LossGradients",
     "RetrievalDataset",
     "load_dataset",

@@ -5,7 +5,8 @@ metrics report), train (dataset + config -> history/checkpoint/report),
 gradcheck (finite-difference verification of the analytic gradients).
 
 Exit codes: 0 success, 1 usage or invalid configuration, 2 unreadable or
-inconsistent data, 3 failed numeric check or diverged training.
+inconsistent data or an output that cannot be written, 3 failed numeric
+check or diverged training.
 """
 
 from __future__ import annotations
@@ -117,6 +118,9 @@ def cmd_synth(args) -> int:
     except HirankError as exc:
         print(f"hirank synth: {exc}", file=sys.stderr)
         return DATA_EXIT
+    except OSError as exc:
+        print(f"hirank synth: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return DATA_EXIT
     print(
         f"wrote {len(ds.ids)} instances over {spec.num_leaves} leaf classes "
         f"({len(ds.holdout_classes)} classes held out) to {args.out}"
@@ -147,7 +151,11 @@ def cmd_eval(args) -> int:
     except (FileNotFoundError, HirankError, ValueError) as exc:
         print(f"hirank eval: {exc}", file=sys.stderr)
         return DATA_EXIT
-    ds_io.write_text_atomic(args.out, json.dumps(report.to_json_dict(), indent=2) + "\n")
+    try:
+        ds_io.write_text_atomic(args.out, json.dumps(report.to_json_dict(), indent=2) + "\n")
+    except OSError as exc:
+        print(f"hirank eval: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return DATA_EXIT
     print(f"queries {report.queries} excluded {report.excluded}")
     for name, value in report.metric_items():
         print(f"{name} {value:.6f}")
@@ -178,7 +186,11 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         print(f"hirank train: bad config: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    trainer_mod.write_result(result, args.out)
+    try:
+        trainer_mod.write_result(result, args.out)
+    except OSError as exc:
+        print(f"hirank train: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return DATA_EXIT
     print(json.dumps(result.history[-1]))
     print(f"wrote {args.out}")
     return 0

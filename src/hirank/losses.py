@@ -20,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    IndexOutOfRangeError,
     NoPositivesError,
     UnknownClassError,
     ZeroVectorError,
@@ -271,8 +270,7 @@ class ProxyBank:
             raise ValueError("one vector per class id required")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        self._index = {c: i for i, c in enumerate(self.class_ids)}
-        if len(self._index) != len(self.class_ids):
+        if len(set(self.class_ids)) != len(self.class_ids):
             raise ValueError("class ids must be unique")
 
     @classmethod
@@ -283,12 +281,6 @@ class ProxyBank:
         bank = cls(tuple(class_ids), vectors, sigma)
         bank.renormalize()
         return bank
-
-    def index(self, class_id: str) -> int:
-        try:
-            return self._index[class_id]
-        except KeyError:
-            raise UnknownClassError(class_id) from None
 
     def renormalize(self) -> None:
         norms = np.linalg.norm(self.vectors, axis=1, keepdims=True)
@@ -354,31 +346,6 @@ def cosine_matrix(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     """All-pairs cosine scores; returns (scores, unit_rows, norms)."""
     unit, norms = unit_rows(embeddings)
     return unit @ unit.T, unit, norms
-
-
-def cosine_scores(embeddings: np.ndarray, query_index: int):
-    """Cosine of one row against every other row, with a backprop closure.
-
-    Returns (scores, grad_op): scores[i] covers the candidates in row order
-    with the query row skipped; grad_op maps d_scores back to a gradient on
-    the raw (unnormalized) embedding matrix.
-    """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    b = embeddings.shape[0]
-    if not 0 <= query_index < b:
-        raise IndexOutOfRangeError(query_index)
-    unit, norms = unit_rows(embeddings)
-    others = np.arange(b) != query_index
-    scores = unit[others] @ unit[query_index]
-
-    def grad_op(d_scores: np.ndarray) -> np.ndarray:
-        d_scores = np.asarray(d_scores, dtype=np.float64)
-        d_unit = np.zeros_like(unit)
-        d_unit[others] = np.outer(d_scores, unit[query_index])
-        d_unit[query_index] = d_scores @ unit[others]
-        return unit_rows_backprop(unit, norms, d_unit)
-
-    return scores, grad_op
 
 
 def combined_loss(

@@ -7,15 +7,16 @@ scores produce no inversion in either direction; operations that need a
 concrete list order (cutoff metrics, set intersections) sort by descending
 score and break ties by ascending candidate id.
 
-Every kernel reads one sorted pass over the list (see `_SortedPass`):
-sorting once and counting strictly-above candidates with binary searches
-keeps each query at O(n log n) time and O(n) memory.
+Every kernel reads equal-length lists sorted once into list order (see
+`_sorted_rows`), so a query costs O(n log n) time. The single-list functions
+pass one row; `evaluate_rows`, behind `evaluate_dataset` and the trainer's
+holdout eval, passes chunks of at most `_CHUNK` entries at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,6 +29,9 @@ from .errors import (
     NoPositivesError,
 )
 from .taxonomy import RelevancePartition
+
+# rows x candidates per evaluated chunk: it bounds every kernel's temporaries
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -79,34 +83,79 @@ class ScoredRanking:
 
     def sorted_order(self) -> list[int]:
         """Candidate indices by descending score, ties by ascending id."""
-        return _sorted_pass(self).order.tolist()
+        return _rows_of(self).order[0].tolist()
 
 
-def _strict_above(desc: np.ndarray) -> np.ndarray:
-    """For each entry of a non-increasing array, how many entries are strictly greater."""
-    return len(desc) - np.searchsorted(desc[::-1], desc, side="right")
-
-
-class _SortedPass(NamedTuple):
-    """One query's candidates in list order: descending score, ties by ascending id."""
+class _Rows(NamedTuple):
+    """(rows, n) arrays of equal-length lists in list order."""
 
     order: np.ndarray  # candidate indices
-    scores: np.ndarray
     relevance: np.ndarray
     levels: np.ndarray
-    rank: np.ndarray  # 1 + the number of candidates scored strictly above
+    ideal: np.ndarray  # the levels in non-increasing order
+    above: np.ndarray  # how many candidates score strictly higher
 
 
-def _sorted_pass(r: ScoredRanking) -> _SortedPass:
-    """The pass `_query_metrics` shares while it scores `r`, else a fresh one."""
-    shared = getattr(r, "_shared", None)
-    if shared is not None:
-        return shared
-    order = np.lexsort((np.asarray(r.candidate_ids), -r.scores))
-    scores = r.scores[order]
-    return _SortedPass(
-        order, scores, r.relevance[order], r.levels[order], 1.0 + _strict_above(scores)
-    )
+def _sorted_rows(ids, scores, relevance, levels) -> _Rows:
+    order = np.lexsort((ids, -scores), axis=1)
+    ordered = np.take_along_axis(scores, order, axis=1)
+    # the entries before an entry's tie group all score strictly higher, and
+    # a group starts at each column where the sorted score changes
+    changed = np.ones(ordered.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=changed[:, 1:])
+    above = np.maximum.accumulate(np.where(changed, np.arange(ordered.shape[1]), 0), axis=1)
+    levels = np.take_along_axis(levels, order, axis=1)
+    relevance = np.take_along_axis(relevance, order, axis=1)
+    return _Rows(order, relevance, levels, np.sort(levels, axis=1)[:, ::-1], above)
+
+
+def _rows_of(r: ScoredRanking) -> _Rows:
+    ids = np.asarray(r.candidate_ids)[None]
+    return _sorted_rows(ids, r.scores[None], r.relevance[None], r.levels[None])
+
+
+def _h_ap_rows(rows: _Rows, rel: np.ndarray) -> np.ndarray:
+    """Each row's h_ap under the relevance `rel`, given in list order."""
+    hranks = rel.copy()
+    value = np.zeros((len(rel), 1))
+    seen = np.zeros((rel.shape[0], rel.shape[1] + 1), dtype=np.int64)
+    while True:
+        # each row's next distinct positive relevance value, inf past its last
+        value = np.where(rel > value, rel, np.inf).min(axis=1, keepdims=True)
+        if np.all(np.isinf(value)):
+            break
+        # how many entries carrying `value` score strictly higher than each
+        np.cumsum(rel == value, axis=1, out=seen[:, 1:])
+        hranks += np.minimum(rel, value) * np.take_along_axis(seen, rows.above, axis=1)
+    # a negative's hrank is 0, so whole rows sum only the positives' terms
+    return (hranks / (1.0 + rows.above)).sum(axis=1) / rel.sum(axis=1)
+
+
+def _ap_level_rows(rows: _Rows, level: int) -> np.ndarray:
+    """Binary AP: h_ap under relevance 1 at `level` or deeper, nan for a row
+    without such a candidate."""
+    with np.errstate(invalid="ignore"):
+        return _h_ap_rows(rows, (rows.levels >= level) * 1.0)
+
+
+def _asi_rows(rows: _Rows) -> np.ndarray:
+    n_pos = (rows.levels > 0).sum(axis=1)
+    common = np.zeros(rows.levels.shape)
+    for level in range(1, int(rows.ideal[:, 0].max()) + 1):
+        predicted, ideal = (np.cumsum(a == level, axis=1) for a in (rows.levels, rows.ideal))
+        common += np.minimum(predicted, ideal)
+    top = np.arange(1, common.shape[1] + 1)
+    return np.where(top <= n_pos[:, None], common / top, 0.0).sum(axis=1) / n_pos
+
+
+def _ndcg_rows(rows: _Rows) -> np.ndarray:
+    dcg = ((2.0 ** rows.levels - 1.0) / np.log2(2.0 + rows.above)).sum(axis=1)
+    positions = np.arange(1, rows.ideal.shape[1] + 1)
+    return dcg / ((2.0 ** rows.ideal - 1.0) / np.log2(1.0 + positions)).sum(axis=1)
+
+
+def _recall_rows(rows: _Rows, k: int, level: int) -> np.ndarray:
+    return (rows.levels[:, :k] >= level).any(axis=1)
 
 
 def _require_positives(r: ScoredRanking) -> None:
@@ -114,16 +163,11 @@ def _require_positives(r: ScoredRanking) -> None:
         raise NoPositivesError(f"query {r.query_id!r} has no positive candidate")
 
 
-def rank_of(
-    r: ScoredRanking, k: int, restrict: Callable[[int], bool] | None = None
-) -> float:
-    """1 + the number of (restricted) candidates scored strictly above k."""
+def rank_of(r: ScoredRanking, k: int) -> float:
+    """1 + the number of candidates scored strictly above k."""
     if not 0 <= k < len(r):
         raise IndexOutOfRangeError(k)
-    above = r.scores > r.scores[k]
-    if restrict is not None:
-        above &= np.array([restrict(int(l)) for l in r.levels])
-    return 1.0 + float(above.sum())
+    return 1.0 + float((r.scores > r.scores[k]).sum())
 
 
 def h_rank(r: ScoredRanking, k: int) -> float:
@@ -154,15 +198,8 @@ def h_ap(r: ScoredRanking) -> float:
     distinct values costs O(U * n).
     """
     _require_positives(r)
-    p = _sorted_pass(r)
-    pos = p.levels > 0
-    rel = p.relevance[pos]
-    above = _strict_above(p.scores[pos])
-    hranks = rel.copy()
-    for v in np.unique(rel):
-        seen = np.concatenate(([0], np.cumsum(rel == v)))
-        hranks += np.minimum(rel, v) * seen[above]
-    return float((hranks / p.rank[pos]).sum() / rel.sum())
+    rows = _rows_of(r)
+    return float(_h_ap_rows(rows, rows.relevance)[0])
 
 
 def ap_level(r: ScoredRanking, level: int) -> float:
@@ -171,10 +208,7 @@ def ap_level(r: ScoredRanking, level: int) -> float:
         raise ValueError(f"level must be >= 1, got {level}")
     if not np.any(r.levels >= level):
         raise NoPositivesError(f"query {r.query_id!r} has no candidate at level >= {level}")
-    p = _sorted_pass(r)
-    posl = p.levels >= level
-    ranks_l = 1.0 + _strict_above(p.scores[posl])
-    return float((ranks_l / p.rank[posl]).mean())
+    return float(_ap_level_rows(_rows_of(r), level)[0])
 
 
 def h_pr_at_k(r: ScoredRanking, k: int) -> tuple[float, float]:
@@ -226,26 +260,13 @@ def asi(r: ScoredRanking) -> float:
     levels of the smaller of the two level counts in the top n.
     """
     _require_positives(r)
-    n_pos = int(r.positive_mask.sum())
-    pred = _sorted_pass(r).levels[:n_pos]
-    ideal = np.sort(r.levels)[::-1][:n_pos]
-    common = np.zeros(n_pos)
-    for level in np.unique(ideal):
-        common += np.minimum(np.cumsum(pred == level), np.cumsum(ideal == level))
-    return float((common / np.arange(1, n_pos + 1)).sum() / n_pos)
+    return float(_asi_rows(_rows_of(r))[0])
 
 
 def ndcg(r: ScoredRanking) -> float:
     """Discounted cumulative gain with gains 2**level - 1, ideal-normalized."""
     _require_positives(r)
-    p = _sorted_pass(r)
-    pos = p.levels > 0
-    gains = 2.0 ** p.levels[pos] - 1.0
-    dcg = float((gains / np.log2(1.0 + p.rank[pos])).sum())
-    ideal_gains = 2.0 ** np.sort(r.levels)[::-1] - 1.0
-    ideal_ranks = np.arange(1, len(r) + 1)
-    ideal = float((ideal_gains / np.log2(1.0 + ideal_ranks)).sum())
-    return dcg / ideal
+    return float(_ndcg_rows(_rows_of(r))[0])
 
 
 def recall_at_k(r: ScoredRanking, k: int, level: int) -> int:
@@ -254,7 +275,7 @@ def recall_at_k(r: ScoredRanking, k: int, level: int) -> int:
         raise NoPositivesError(f"query {r.query_id!r} has no candidate at level >= {level}")
     if k < 1:
         raise IndexOutOfRangeError(k)
-    return int(np.any(_sorted_pass(r).levels[:k] >= level))
+    return int(_recall_rows(_rows_of(r), k, level)[0])
 
 
 @dataclass
@@ -295,24 +316,55 @@ class MetricsReport:
         return out
 
 
-def _query_metrics(r: ScoredRanking, depth: int, ks: Sequence[int]) -> dict[str, float]:
-    # every kernel below reads one shared pass, dropped once the row is done
-    object.__setattr__(r, "_shared", _sorted_pass(r))
-    try:
-        row: dict[str, float] = {
-            "h_ap": h_ap(r),
-            "asi": asi(r),
-            "ndcg": ndcg(r),
-        }
-        for l in range(1, depth + 1):
-            if np.any(r.levels >= l):
-                row[f"ap_level_{l}"] = ap_level(r, l)
-        if np.any(r.levels >= depth):
-            for k in ks:
-                row[f"recall_at_{k}"] = float(recall_at_k(r, k, depth))
-    finally:
-        object.__delattr__(r, "_shared")
-    return row
+def evaluate_rows(
+    query_ids: Sequence[str], groups, stack, ks: Sequence[int], depth: int
+) -> MetricsReport:
+    """Per-query metrics and their means over the queries with a positive.
+
+    The lists come as rows of equal length: `groups` holds (n, positions)
+    for the lists of n candidates, at those positions of `query_ids`, and
+    `stack(positions)` returns their (ids, scores, relevance, levels) as
+    arrays of one row per list, each valid as a ScoredRanking's. The ids
+    only break score ties, so any keys that sort as the ids do serve.
+    """
+    if any(k < 1 for k in ks):
+        raise IndexOutOfRangeError(min(ks))
+    per_query: list[dict | None] = [None] * len(query_ids)
+    for n, positions in groups:
+        step = max(1, _CHUNK // max(n, 1))
+        for chunk in (positions[i : i + step] for i in range(0, len(positions), step)):
+            arrays = stack(chunk)
+            keep = (arrays[3] > 0).any(axis=1)
+            if not keep.any():
+                continue
+            rows = _sorted_rows(*(a[keep] for a in arrays))
+            h, a, g = _h_ap_rows(rows, rows.relevance), _asi_rows(rows), _ndcg_rows(rows)
+            ap = {l: _ap_level_rows(rows, l) for l in range(1, depth + 1)}
+            recall = {k: _recall_rows(rows, k, depth) for k in ks}
+            kept = np.asarray(chunk)[keep].tolist()
+            for j, (q, deepest) in enumerate(zip(kept, rows.ideal[:, 0].tolist())):
+                row = per_query[q] = {"h_ap": float(h[j]), "asi": float(a[j]), "ndcg": float(g[j])}
+                row.update((f"ap_level_{l}", float(v[j])) for l, v in ap.items() if l <= deepest)
+                if deepest >= depth:
+                    row.update((f"recall_at_{k}", float(v[j])) for k, v in recall.items())
+    included = [(q, row) for q, row in zip(query_ids, per_query) if row is not None]
+    if not included:
+        raise AllQueriesEmptyError("no query has a positive candidate")
+
+    def mean_of(key: str) -> float:
+        vals = [row[key] for _, row in included if key in row]
+        return float(np.mean(vals)) if vals else float("nan")
+
+    return MetricsReport(
+        queries=len(included),
+        excluded=len(query_ids) - len(included),
+        h_ap=mean_of("h_ap"),
+        ap_level={l: mean_of(f"ap_level_{l}") for l in range(1, depth + 1)},
+        asi=mean_of("asi"),
+        ndcg=mean_of("ndcg"),
+        recall_at_k={k: mean_of(f"recall_at_{k}") for k in ks},
+        per_query=dict(included),
+    )
 
 
 def evaluate_dataset(
@@ -326,30 +378,18 @@ def evaluate_dataset(
     counted. Each metric averages over the queries where it is defined
     (e.g. a level's AP skips queries with no candidate at that level).
     """
-    included = [r for r in rankings if np.any(r.positive_mask)]
-    excluded = len(rankings) - len(included)
-    if not included:
-        raise AllQueriesEmptyError("no query has a positive candidate")
     if depth is None:
-        depth = max(int(r.levels.max()) for r in included)
+        depth = max((int(r.levels.max()) for r in rankings), default=0)
+    by_length: dict[int, list[int]] = {}
+    for i, r in enumerate(rankings):
+        by_length.setdefault(len(r), []).append(i)
 
-    rows = [_query_metrics(r, depth, ks) for r in included]
-    per_query = {r.query_id: row for r, row in zip(included, rows)}
+    def stack(chunk: list[int]) -> list[np.ndarray]:
+        lists = [rankings[i] for i in chunk]
+        fields = ("candidate_ids", "scores", "relevance", "levels")
+        return [np.array([getattr(r, f) for r in lists]) for f in fields]
 
-    def mean_of(key: str) -> float:
-        vals = [row[key] for row in rows if key in row]
-        return float(np.mean(vals)) if vals else float("nan")
-
-    return MetricsReport(
-        queries=len(included),
-        excluded=excluded,
-        h_ap=mean_of("h_ap"),
-        ap_level={l: mean_of(f"ap_level_{l}") for l in range(1, depth + 1)},
-        asi=mean_of("asi"),
-        ndcg=mean_of("ndcg"),
-        recall_at_k={k: mean_of(f"recall_at_{k}") for k in ks},
-        per_query=per_query,
-    )
+    return evaluate_rows([r.query_id for r in rankings], by_length.items(), stack, ks, depth)
 
 
 def parse_scores(text: str) -> dict[str, tuple[list[str], list[float]]]:

@@ -37,7 +37,7 @@ from .losses import (
     combined_loss,
     cosine_matrix,
 )
-from .metrics import MetricsReport, ScoredRanking, evaluate_dataset
+from .metrics import MetricsReport, evaluate_rows
 from .taxonomy import RelevanceProfile, ancestor_levels
 
 HISTORY_FILE = "history.jsonl"
@@ -436,38 +436,20 @@ def train_step(state: TrainerState, ds: RetrievalDataset, batch_ids: Sequence[st
 
 
 def evaluate_state(state: TrainerState, ds: RetrievalDataset) -> MetricsReport:
-    """Holdout-style evaluation: fixed alpha=1 relevance, full metric set."""
-    embeddings = state.model.all_embeddings(ds.features)
-    rankings = rankings_for_rows(
-        ds, state.eval_rows, embeddings, state.codes, RelevanceProfile.alpha(1.0)
+    """Holdout-style evaluation: fixed alpha=1 relevance, full metric set.
+    Each evaluation row queries the remaining rows under cosine scoring."""
+    rows, q = state.eval_rows, len(state.eval_rows)
+    scores, _, _ = cosine_matrix(state.model.all_embeddings(ds.features)[rows])
+    levels = pairwise_levels(state.codes[rows])
+    rel = relevance_rows(levels, RelevanceProfile.alpha(1.0), ds.taxonomy.depth)
+    ids = [ds.ids[r] for r in rows]
+    # ties break by id, and the ids' ranks among themselves sort as the ids do
+    arrays = (np.broadcast_to(np.unique(ids, return_inverse=True)[1], (q, q)), scores, rel, levels)
+    off = ~np.eye(q, dtype=bool)  # a query is not its own candidate
+    return evaluate_rows(
+        ids, [(q - 1, range(q))], lambda c: [a[c][off[c]].reshape(len(c), q - 1) for a in arrays],
+        state.config.recall_ks, ds.taxonomy.depth,
     )
-    return evaluate_dataset(rankings, ks=state.config.recall_ks, depth=ds.taxonomy.depth)
-
-
-def rankings_for_rows(
-    ds: RetrievalDataset,
-    rows: np.ndarray,
-    embeddings: np.ndarray,
-    codes: np.ndarray,
-    profile: RelevanceProfile,
-) -> list[ScoredRanking]:
-    """Each row queries the remaining rows under cosine scoring."""
-    scores, _, _ = cosine_matrix(embeddings[rows])
-    levels = pairwise_levels(codes[rows])
-    rel = relevance_rows(levels, profile, ds.taxonomy.depth)
-    levels = np.where(rel > 0, levels, 0)  # profiles may zero a level; keep rel=0 <=> level=0
-    off = ~np.eye(len(rows), dtype=bool)
-    ids = tuple(ds.ids[r] for r in rows)
-    return [
-        ScoredRanking(
-            query_id=ids[q],
-            candidate_ids=ids[:q] + ids[q + 1 :],
-            scores=scores[q, off[q]],
-            relevance=rel[q, off[q]],
-            levels=levels[q, off[q]],
-        )
-        for q in range(len(rows))
-    ]
 
 
 @dataclass

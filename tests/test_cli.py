@@ -65,6 +65,13 @@ class TestSynthCommand:
         assert code == 2
         assert "split" in capsys.readouterr().err
 
+    def test_out_is_a_file_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = run(["synth", "--out", str(out), "--branching", "2,3", "--per-leaf", "2"])
+        assert code == 2
+        assert f"hirank synth: cannot write {out}" in capsys.readouterr().err
+
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             run(["synth", "--out", "x", "--bogus", "1"])
@@ -136,6 +143,13 @@ class TestEvalCommand:
             "--out", str(tmp_path / "r.json"),
         ])
         assert code == 2
+
+    def test_out_in_missing_directory_is_data_error(self, tmp_path, capsys):
+        tax, sco = write_eval_inputs(tmp_path)
+        out = tmp_path / "missing_dir" / "report.json"
+        code = run(["eval", "--taxonomy", str(tax), "--scores", str(sco), "--out", str(out)])
+        assert code == 2
+        assert f"hirank eval: cannot write {out}" in capsys.readouterr().err
 
     def test_threads_do_not_change_output(self, tmp_path):
         tax, sco = write_eval_inputs(tmp_path)
@@ -212,6 +226,15 @@ class TestTrainCommand:
             assert run(["train", "--data", str(data), "--config", str(config),
                         "--out", str(out), "--quiet"]) == 0
         assert (out_a / HISTORY_FILE).read_bytes() == (out_b / HISTORY_FILE).read_bytes()
+
+    def test_out_is_a_file_is_data_error(self, tmp_path, capsys):
+        data, config = write_train_inputs(tmp_path, {"epochs": 0})
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = run(["train", "--data", str(data), "--config", str(config),
+                    "--out", str(out), "--quiet"])
+        assert code == 2
+        assert f"hirank train: cannot write {out}" in capsys.readouterr().err
 
     def test_lambda_out_of_range(self, tmp_path, capsys):
         data, config = write_train_inputs(tmp_path, {"objective": {"lambda": 1.5}})

@@ -2,7 +2,11 @@
 
 Lists are drawn with heavy ties (at most three distinct scores), shuffled
 ids so that tie-breaking by id matters, and the degenerate shapes: one
-candidate, every score tied, every candidate positive.
+candidate, every score tied, every candidate positive. `evaluate_dataset`
+is checked per query against the same oracles on lists of mixed lengths in
+one call, some without a positive and some with arbitrary relevance, in
+chunks from one row up; the trainer's holdout report against
+`evaluate_dataset` over the same lists built by hand.
 
 The vectorized ancestor levels and relevance-profile tables are checked the
 same way, for exact equality: levels on identical paths, depth 1 and paths
@@ -43,13 +47,14 @@ from conftest import (
     oracle_relevance_rows,
     weighted_relevance,
 )
-from hirank import losses
-from hirank.errors import EmptyLevelDivisionError
+from hirank import losses, metrics
+from hirank.errors import AllQueriesEmptyError, EmptyLevelDivisionError
 from hirank.losses import (
     ProxyBank,
     SmoothHeavisideParams,
     clustering_loss,
     combined_loss,
+    cosine_matrix,
     hap_surrogate,
 )
 from hirank.metrics import (
@@ -70,17 +75,26 @@ from hirank.taxonomy import (
     partition_from_paths,
     path_codes,
 )
-from hirank.trainer import pairwise_levels, relevance_rows
+from hirank.dataset import RetrievalDataset
+from hirank.synthgen import SynthSpec, generate
+from hirank.trainer import (
+    TrainerConfig,
+    evaluate_state,
+    init_state,
+    pairwise_levels,
+    relevance_rows,
+)
 
 DIFFERENTIAL = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 SHAPES = ("ties", "single", "all_tied", "all_positive")
 
 
 @st.composite
-def rankings(draw, arbitrary_relevance: bool = False) -> ScoredRanking:
+def rankings(draw, arbitrary_relevance: bool = False, n: int | None = None) -> ScoredRanking:
     shape = draw(st.sampled_from(SHAPES))
     depth = draw(st.integers(1, 3))
-    n = 1 if shape == "single" else draw(st.integers(2, 30))
+    if n is None:
+        n = 1 if shape == "single" else draw(st.integers(2, 30))
     low = 1 if shape == "all_positive" else 0
     levels = np.array(draw(st.lists(st.integers(low, depth), min_size=n, max_size=n)))
     if not np.any(levels > 0):
@@ -133,6 +147,84 @@ def test_dataset_rows_equal_standalone_kernels(batch):
         assert row["h_ap"] == h_ap(r)
         assert row["asi"] == asi(r)
         assert row["ndcg"] == ndcg(r)
+
+
+@st.composite
+def ranking_sets(draw) -> list[ScoredRanking]:
+    """1-8 lists of one or two lengths (down to one candidate), tied scores,
+    some with arbitrary relevance and some without a positive."""
+    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=2))
+    queries = []
+    for i in range(draw(st.integers(1, 8))):
+        r = draw(rankings(draw(st.booleans()), n=draw(st.sampled_from(lengths))))
+        rel, levels = r.relevance, r.levels
+        if draw(st.integers(0, 3)) == 0:
+            rel, levels = np.zeros(len(r)), np.zeros(len(r), dtype=np.int64)
+        queries.append(ScoredRanking(f"q{i}", r.candidate_ids, r.scores, rel, levels))
+    return queries
+
+
+@settings(DIFFERENTIAL, max_examples=150)
+@given(ranking_sets(), st.sampled_from([None, 3]), st.sampled_from([1, 60, metrics._CHUNK]))
+def test_dataset_rows_match_the_oracles(queries, depth, chunk):
+    ks = (1, 2, 40)
+    with mock.patch.object(metrics, "_CHUNK", chunk):
+        if not any(np.any(r.levels > 0) for r in queries):
+            with pytest.raises(AllQueriesEmptyError):
+                evaluate_dataset(queries, ks=ks, depth=depth)
+            return
+        report = evaluate_dataset(queries, ks=ks, depth=depth)
+    depth = depth or max(int(r.levels.max()) for r in queries)
+    included = [r for r in queries if np.any(r.levels > 0)]
+    assert (report.queries, report.excluded) == (len(included), len(queries) - len(included))
+    assert list(report.per_query) == [r.query_id for r in included]
+    for r in included:
+        s, ids, levels = r.scores, r.candidate_ids, r.levels
+        expected = {
+            "h_ap": oracle_h_ap(s, r.relevance),
+            "asi": oracle_asi(s, ids, levels),
+            "ndcg": oracle_ndcg(s, levels),
+            **{f"ap_level_{l}": oracle_ap_level(s, levels, l)
+               for l in range(1, depth + 1) if np.any(levels >= l)},
+        }
+        if np.any(levels >= depth):
+            expected.update({f"recall_at_{k}": oracle_recall_at_k(s, ids, levels, k, depth)
+                             for k in ks})
+        row = report.per_query[r.query_id]
+        assert sorted(row) == sorted(expected)
+        for key, value in expected.items():
+            assert row[key] == pytest.approx(value, abs=1e-12), key
+        assert r.sorted_order() == oracle_list_order(s, ids)
+    rows = list(report.per_query.values())
+    assert report.h_ap == pytest.approx(np.mean([row["h_ap"] for row in rows]), abs=1e-12)
+
+
+def test_holdout_report_equals_evaluate_dataset_over_hand_built_lists():
+    synth = generate(SynthSpec(branching=(2, 3), instances_per_leaf=6, seed=4, holdout_fraction=0.5))
+    rng = np.random.default_rng(4)
+    # ids out of order, and three distinct feature rows shared across
+    # classes, so that tied scores break by id between levels
+    order = rng.permutation(len(synth.ids))
+    features = np.eye(3)[rng.integers(0, 3, size=len(order))]
+    ids = tuple(synth.ids[i] for i in order)
+    ds = RetrievalDataset(synth.taxonomy, ids, features, synth.holdout_classes)
+    config = TrainerConfig(dim=4, batch_size=8, m_per_class=4, recall_ks=(1, 3))
+    state = init_state(ds, config)
+    rows, depth = state.eval_rows, ds.taxonomy.depth
+    scores, _, _ = cosine_matrix(state.model.all_embeddings(ds.features)[rows])
+    paths = [ds.taxonomy.path(ds.ids[r]) for r in rows]
+    lists = []
+    for q in range(len(rows)):
+        others = [j for j in range(len(rows)) if j != q]
+        levels = np.array([oracle_ancestor_level(paths[q], paths[j]) for j in others])
+        lists.append(ScoredRanking(
+            ds.ids[rows[q]], tuple(ds.ids[rows[j]] for j in others),
+            scores[q, others], alpha_relevance(levels, depth), levels,
+        ))
+    expected = evaluate_dataset(lists, ks=config.recall_ks, depth=depth)
+    report = evaluate_state(state, ds)
+    assert report.to_json_dict() == expected.to_json_dict()
+    assert report.per_query == expected.per_query
 
 
 # --- ancestor levels ------------------------------------------------------------------

@@ -14,7 +14,6 @@ from hirank.losses import (
     clustering_loss,
     combined_loss,
     cosine_matrix,
-    cosine_scores,
     hap_surrogate,
     heaviside_lower,
     heaviside_upper,
@@ -22,6 +21,8 @@ from hirank.losses import (
     unit_rows_backprop,
 )
 from hirank.metrics import h_ap
+from hirank.synthgen import SynthSpec, generate
+from hirank.trainer import TrainerConfig, init_state
 
 DEFAULTS = SmoothHeavisideParams()
 
@@ -187,11 +188,13 @@ class TestProxyBank:
         bank = ProxyBank.random(["a", "b", "c"], 16, rng)
         assert np.allclose(np.linalg.norm(bank.vectors, axis=1), 1.0, atol=1e-12)
 
-    def test_index_lookup(self, rng):
-        bank = ProxyBank.random(["a", "b"], 4, rng)
-        assert bank.index("b") == 1
-        with pytest.raises(UnknownClassError):
-            bank.index("nope")
+    def test_index_lookup(self):
+        # a training row's integer label indexes its leaf class's proxy
+        ds = generate(SynthSpec(branching=(2, 3), instances_per_leaf=4, dim=5, seed=1))
+        state = init_state(ds, TrainerConfig(batch_size=8, m_per_class=4))
+        for row in state.train_rows:
+            assert state.bank.class_ids[state.labels[row]] == ds.taxonomy.leaf(ds.ids[row])
+        assert np.all(np.delete(state.labels, state.train_rows) == -1)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -251,27 +254,32 @@ class TestClusteringLoss:
 
 class TestCosineScores:
     def test_identical_rows_score_one(self):
-        scores, _ = cosine_scores(np.array([[1.0, 0.0], [2.0, 0.0]]), 0)
-        assert scores[0] == pytest.approx(1.0, abs=1e-12)
+        scores, _, _ = cosine_matrix(np.array([[1.0, 0.0], [2.0, 0.0]]))
+        assert scores[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_rows_score_zero(self):
-        scores, _ = cosine_scores(np.array([[1.0, 0.0], [0.0, 3.0]]), 0)
-        assert scores[0] == pytest.approx(0.0, abs=1e-12)
+        scores, _, _ = cosine_matrix(np.array([[1.0, 0.0], [0.0, 3.0]]))
+        assert scores[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_row_rejected(self):
         with pytest.raises(ZeroVectorError):
-            cosine_scores(np.array([[1.0, 0.0], [0.0, 0.0]]), 0)
+            cosine_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     def test_grad_op_matches_finite_differences(self, rng):
+        # row 1 queries the others; as in combined_loss, a gradient D on the
+        # score matrix reaches the unit rows as (D + D^T) @ unit
         emb = rng.standard_normal((4, 3))
         weights = rng.standard_normal(3)
+        others = np.arange(4) != 1
 
         def f(flat):
-            scores, _ = cosine_scores(flat.reshape(4, 3), 1)
-            return float(weights @ scores)
+            scores, _, _ = cosine_matrix(flat.reshape(4, 3))
+            return float(weights @ scores[1, others])
 
-        _, grad_op = cosine_scores(emb, 1)
-        analytic = grad_op(weights)
+        _, unit, norms = cosine_matrix(emb)
+        d_scores = np.zeros((4, 4))
+        d_scores[1, others] = weights
+        analytic = unit_rows_backprop(unit, norms, (d_scores + d_scores.T) @ unit)
         numeric = numeric_gradient(f, emb.ravel(), eps=1e-6).reshape(4, 3)
         assert np.allclose(analytic, numeric, atol=1e-6)
 

