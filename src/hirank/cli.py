@@ -148,8 +148,11 @@ def cmd_eval(args) -> int:
             part = assign_relevance(part, profile)
             rankings.append(ScoredRanking.from_partition(part, scores))
         report = evaluate_dataset(rankings, ks=ks, depth=taxonomy.depth)
-    except (FileNotFoundError, HirankError, ValueError) as exc:
+    except (HirankError, ValueError) as exc:
         print(f"hirank eval: {exc}", file=sys.stderr)
+        return DATA_EXIT
+    except OSError as exc:
+        print(f"hirank eval: cannot read {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return DATA_EXIT
     try:
         ds_io.write_text_atomic(args.out, json.dumps(report.to_json_dict(), indent=2) + "\n")
@@ -166,8 +169,11 @@ def cmd_train(args) -> int:
     try:
         ds = ds_io.load_dataset(args.data)
         raw = json.loads(args.config.read_text())
-    except (FileNotFoundError, HirankError, json.JSONDecodeError) as exc:
+    except (HirankError, json.JSONDecodeError) as exc:
         print(f"hirank train: {exc}", file=sys.stderr)
+        return DATA_EXIT
+    except OSError as exc:
+        print(f"hirank train: cannot read {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return DATA_EXIT
     try:
         config = trainer_mod.config_from_dict(raw, depth=ds.taxonomy.depth, in_dim=ds.dim)

@@ -9,6 +9,12 @@ that never falls below it (`heaviside_upper`). Comparisons between
 candidates of equal relevance cannot change the metric, so those stay
 exact steps and contribute no gradient.
 
+One kernel, `_surrogate_rows`, evaluates the surrogate for every row of a
+batch. It sorts each row by (relevance, score) and evaluates a smooth step
+only on the ranges of candidates where it can be nonzero: the upper step
+from s_k - 40 tau (below that it is exactly 0 in float64) to the end of
+each less relevant group, the lower step on the more relevant block.
+
 Everything returns analytic gradients; there is no autograd anywhere.
 """
 
@@ -62,10 +68,21 @@ def heaviside_lower(t, params: SmoothHeavisideParams = SmoothHeavisideParams()):
     saturate at 1 (zero slope from the saturation point on).
     """
     t = np.asarray(t, dtype=np.float64)
-    ramp = params.nu * t + params.mu
-    value = np.where(t < 0, params.gamma * t, np.minimum(ramp, 1.0))
-    slope = np.where(t < 0, params.gamma, np.where(ramp < 1.0, params.nu, 0.0))
+    value, slope = np.empty_like(t), np.empty_like(t)
+    _heaviside_lower_into(t, value, slope, params)
     return value, slope
+
+
+def _heaviside_lower_into(t, value, slope, params: SmoothHeavisideParams) -> None:
+    """heaviside_lower of t written into `value` and `slope`, of t's shape."""
+    negative = t < 0
+    np.multiply(t, params.nu, out=value)
+    value += params.mu
+    np.less(value, 1.0, out=slope)
+    slope *= params.nu
+    np.minimum(value, 1.0, out=value)
+    np.copyto(slope, params.gamma, where=negative)
+    np.multiply(t, params.gamma, out=value, where=negative)
 
 
 def heaviside_upper(t, params: SmoothHeavisideParams = SmoothHeavisideParams()):
@@ -80,28 +97,29 @@ def heaviside_upper(t, params: SmoothHeavisideParams = SmoothHeavisideParams()):
     """
     t = np.asarray(t, dtype=np.float64)
     value, slope = np.empty_like(t), np.empty_like(t)
-    _heaviside_upper_into(t, value, slope, np.empty_like(t), params)
+    _heaviside_upper_into(t, value, slope, params)
     return value, slope
 
 
-def _heaviside_upper_into(t, value, slope, sig, params: SmoothHeavisideParams) -> None:
-    """heaviside_upper of t written into `value` and `slope`, and the sigmoid
-    into `sig`. All four arrays have t's shape."""
+def _heaviside_upper_into(t, value, slope, params: SmoothHeavisideParams) -> None:
+    """heaviside_upper of t written into `value` and `slope`, of t's shape."""
     # the sigmoid through tanh cannot overflow for any finite t; dividing by
     # 2 tau rounds exactly as halving t / tau does
-    np.minimum(t, params.delta, out=sig)
-    sig /= 2.0 * params.tau
-    np.tanh(sig, out=sig)
-    sig *= 0.5
-    sig += 0.5
-    np.subtract(1.0, sig, out=slope)
-    slope *= sig
+    np.minimum(t, params.delta, out=value)
+    value /= 2.0 * params.tau
+    np.tanh(value, out=value)
+    value *= 0.5
+    value += 0.5
+    np.subtract(1.0, value, out=slope)
+    slope *= value
     slope /= params.tau
-    np.copyto(slope, params.rho, where=t > params.delta)
-    np.subtract(t, params.delta, out=value)
-    np.maximum(value, 0.0, out=value)
-    value *= params.rho
-    value += sig
+    # past delta the tail rho (t - delta) joins the sigmoid, held in `slope`
+    # until that takes the tail's slope rho
+    tail = t > params.delta
+    np.subtract(t, params.delta, out=slope, where=tail)
+    np.multiply(slope, params.rho, out=slope, where=tail)
+    np.add(value, slope, out=value, where=tail)
+    np.copyto(slope, params.rho, where=tail)
     np.add(value, 0.5, out=value, where=t >= 0)
 
 
@@ -155,20 +173,24 @@ def _check_rows(scores: np.ndarray, relevance: np.ndarray) -> None:
         raise ValueError("relevance must be non-negative")
 
 
-# positive x candidate entries per chunk of kernel temporaries
+# cells per block of sorted rows, and gathered positive x candidate entries
+# per chunk of kernel temporaries
 _CHUNK = 1 << 15
 
 
-def _run_bounds(differs: np.ndarray, q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end columns of the run holding each position (q[i], p[i]).
+def _first_at_least(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The first index i in [lo, hi) with values[i] >= target, else hi.
 
-    `differs` marks the last column of every run in each row; the last
-    column is always marked, so no run crosses a row.
+    One binary search per (lo, hi, target) triple, all run together; each
+    values[lo:hi] must be sorted ascending.
     """
-    offset = q * differs.shape[1]
-    ends = np.flatnonzero(differs) + 1
-    run = np.searchsorted(ends, offset + p, side="right")
-    return np.concatenate(([0], ends))[run] - offset, ends[run] - offset
+    last = len(values) - 1
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        below = (lo < hi) & (values[np.minimum(mid, last)] < target)
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    return lo
 
 
 def _surrogate_rows(scores: np.ndarray, relevance: np.ndarray, params: SmoothHeavisideParams):
@@ -177,82 +199,138 @@ def _surrogate_rows(scores: np.ndarray, relevance: np.ndarray, params: SmoothHea
     Rows must be checked already: non-negative relevance, at least one
     positive, and finite scores, except that a candidate of relevance 0 may
     score -inf: it then adds exact zeros to every term and gets a zero
-    gradient. Positives go through in row-major chunks of at most `_CHUNK`
-    positive x candidate entries, and each chunk sorts the rows it touches
-    by (relevance, score). A positive's less relevant, equally relevant and
-    more relevant candidates are then the sorted columns [0, lo), [lo, hi)
-    and [hi, n). The upper step is evaluated on the first block only, less
-    a prefix where it is exactly 0, and the lower step on the last; the
-    equal block needs only its count of strictly higher scores, which the
-    sort gives. A chunk's blocks are padded to a common width, with -inf
-    scores on the less relevant side (the upper step is exactly 0 there)
-    and a mask on the more relevant side.
+    gradient. Each row is sorted by (relevance, score), so its relevance
+    groups are runs of columns sorted by score, and a positive's equally
+    and more relevant candidates are its own group and the columns after it.
+    The kernel gathers only the entries where a smooth step can be nonzero:
+    for each positive and each less relevant group of its row, the range
+    from the first score at or above s_k - 40 tau to the group's end (the
+    upper step's window and its linear tail), and the more relevant block
+    whole for the lower step. The equal group needs only its count of
+    strictly higher scores, which the sort gives. Rows go through in blocks
+    of at most `_CHUNK` cells, and a block's positives in row-major chunks
+    of at most `_CHUNK` gathered entries (or one positive).
     """
     m, n = scores.shape
-    ends = np.cumsum(np.count_nonzero(relevance > 0, axis=1))  # positives up to each row's end
+    values, d_scores = np.empty(m), np.empty((m, n))
+    # one set of buffers for every chunk's gathered entries: temporaries of
+    # varying size allocated afresh fragment the heap (train-bigbatch peak
+    # RSS rose by up to 4 MB). A chunk gathers at most max(_CHUNK, n - 1)
+    # entries, and a call at most m n (n - 1).
+    size = min(max(_CHUNK, n), m * n * n)
+    floats, ints = np.empty((3, size)), np.empty((2, size), dtype=np.intp)
+    step = max(1, _CHUNK // n)
+    for start in range(0, m, step):
+        rows = slice(start, start + step)
+        values[rows] = _surrogate_block(scores[rows], relevance[rows], params, floats, ints, d_scores[rows])
+    return values, d_scores
+
+
+def _surrogate_block(scores, relevance, params: SmoothHeavisideParams, floats, ints, d_scores):
+    """_surrogate_rows on one block of rows, with its buffers; writes the
+    gradient into `d_scores` and returns the values."""
+    m, n = scores.shape
     total = relevance.sum(axis=1)
-    sums = np.zeros(m)  # each row's sum of numer / denom over its positives
-    d_scores = np.zeros((m, n))
-    col = np.arange(n)
-    per = max(1, _CHUNK // n)
-    # the less relevant block, its step values, slopes and sigmoid: one buffer
-    # for every chunk, as blocks of varying width allocated afresh fragment
-    # the heap (train-bigbatch peak RSS rose by up to 3 MB on some seeds)
-    work = np.empty((4, per * n))
-    for start in range(0, ends[-1], per):
-        index = np.arange(start, min(start + per, ends[-1]))
-        row = np.searchsorted(ends, index, side="right")
-        rows = slice(row[0], row[-1] + 1)
-        each = np.arange(rows.stop - rows.start)[:, None]
-        order = np.lexsort((scores[rows], relevance[rows]), axis=1)
-        s, r = scores[rows][each, order], relevance[rows][each, order]
-        # sorted by relevance, a row's positives are its last columns
-        q, p = row - rows.start, n - ends[row] + index
-        differs = np.ones(s.shape, dtype=bool)
-        differs[:, :-1] = r[:, 1:] != r[:, :-1]
-        lo, hi = _run_bounds(differs, q, p)
-        differs[:, :-1] |= s[:, 1:] != s[:, :-1]
-        above_equal = hi - _run_bounds(differs, q, p)[1]
-        s_k, r_k, total_k = s[q, p], r[q, p], total[row]
-        own = q == each  # (rows, chunk): the row each positive queries
-        starts = np.searchsorted(q, each[:, 0])  # each row's first positive
+    order = np.lexsort((scores, relevance), axis=1)
+    s = np.take_along_axis(scores, order, axis=1).ravel()
+    r = np.take_along_axis(relevance, order, axis=1).ravel()
+    # runs of equal relevance (groups) and of equal (relevance, score); a row
+    # start opens both
+    new_group = np.empty(m * n, dtype=bool)
+    new_group[1:] = r[1:] != r[:-1]
+    new_group[::n] = True
+    group_start = np.flatnonzero(new_group)
+    group_end = np.append(group_start[1:], m * n)
+    new_group[1:] |= s[1:] != s[:-1]
+    tie_start = np.flatnonzero(new_group)
+    tie_end = np.append(tie_start[1:], m * n)
 
-        # float64 tanh is exactly -1 below -20, so the upper step is exactly 0
-        # at s_j < s_k - 40 tau: the block skips the candidates of relevance 0
-        # (a prefix of each row) that lie that far below every positive
-        floor = np.minimum.reduceat(s_k, starts) - 40.0 * params.tau
-        first = ((s < floor[:, None]) & (r == 0)).sum(axis=1).min()
-        width = lo.max()
-        t, up_v, up_s, spare = (w[: len(q) * (width - first)].reshape(len(q), -1) for w in work)
-        np.subtract(s[q][:, first:width], s_k[:, None], out=t)
-        t[col[first:width] >= lo[:, None]] = -np.inf
-        np.greater(t, 0, out=spare)
-        below = (spare @ r[:, first:width].T)[own.T]  # sum of rel_j over [s_j > s_k]
-        _heaviside_upper_into(t, up_v, up_s, spare, params)
+    k = np.flatnonzero(r > 0)  # the positives, row by row
+    row = k // n
+    s_k, r_k, total_k = s[k], r[k], total[row]
+    group = np.searchsorted(group_start, k, side="right") - 1
+    hi = group_end[group]
+    above_equal = hi - tie_end[np.searchsorted(tie_start, k, side="right") - 1]
+    low_len = (row + 1) * n - hi  # the more relevant block [hi, row end)
 
-        begin = hi.min()
-        t = s[q, begin:] - s_k[:, None]
-        more = col[begin:] >= hi[:, None]
-        low_v, low_s = heaviside_lower(t, params)
-        low_s *= more
+    # one upper range per (positive, less relevant group). float64 tanh is
+    # exactly -1 at or below -18.991, so the upper step and its slope are
+    # exactly 0 at t <= -37.982 tau; the cut at s_j < s_k - 40 tau leaves a
+    # margin of about 2 tau, which no rounding of the bound can cross
+    lower = group - np.searchsorted(group_start, row * n)  # less relevant groups
+    pair_owner = np.repeat(np.arange(len(k)), lower)
+    pair_first = np.cumsum(lower) - lower
+    pair_group = np.arange(len(pair_owner)) - np.repeat(pair_first - group + lower, lower)
+    pair_end = group_end[pair_group]
+    pair_start = _first_at_least(s, group_start[pair_group], pair_end,
+                                 (s_k - 40.0 * params.tau)[pair_owner])
+    up_len = pair_end - pair_start
+    up_before = np.concatenate(([0], np.cumsum(up_len)))
+
+    entries = up_before[pair_first + lower] - up_before[pair_first] + low_len
+    ends = np.cumsum(entries)
+    t, value, slope = floats
+    positions, range_of = ints
+    terms = np.empty(len(k))
+    d = np.zeros(m * n)
+    k0 = 0
+    while k0 < len(k):
+        k1 = max(k0 + 1, int(np.searchsorted(ends, ends[k0] - entries[k0] + _CHUNK, side="right")))
+        chunk, c = slice(k0, k1), k1 - k0
+        pairs = slice(pair_first[k0], pair_first[k1 - 1] + lower[k1 - 1])
+        # the chunk's non-empty ranges, upper ones first: start, length, owner
+        starts = np.concatenate((pair_start[pairs], hi[chunk]))
+        lens = np.concatenate((up_len[pairs], low_len[chunk]))
+        owner = np.concatenate((pair_owner[pairs] - k0, np.arange(c)))
+        kept = np.flatnonzero(lens)
+        split = np.searchsorted(kept, pairs.stop - pairs.start)
+        starts, lens, owner = starts[kept], lens[kept], owner[kept]
+        at = np.cumsum(lens) - lens  # each range's offset among the gathered entries
+        width, up = int(lens.sum()), int(lens[:split].sum())
+        # each gathered entry's flat position and range, as running sums
+        index, ranges = positions[:width], range_of[:width]
+        index[:] = 1
+        index[at] = starts - np.append(0, starts[:-1] + lens[:-1] - 1)
+        np.cumsum(index, out=index)
+        ranges[:] = 0
+        ranges[at[1:]] = 1
+        np.cumsum(ranges, out=ranges)
+        tt, v, sl = t[:width], value[:width], slope[:width]
+        np.take(s, index, out=tt, mode="clip")
+        tt -= np.take(s_k[chunk][owner], ranges, out=v, mode="clip")
+        _heaviside_upper_into(tt[:up], v[:up], sl[:up], params)
+        _heaviside_lower_into(tt[up:], v[up:], sl[up:], params)
+
+        v_sum = np.add.reduceat(v, at)
+        above = np.add.reduceat(tt > 0, at)  # t > 0 lies inside every upper range
+        rk, ae = r_k[chunk], above_equal[chunk]
         # exact steps: rel_j for less relevant and rel_k for equal candidates
-        # in the numerator, 1 for equal and more relevant ones in the denominator
-        numer = r_k + r_k * (low_v * more).sum(axis=1) + (below + r_k * above_equal)
-        denom = 1.0 + (above_equal + ((t > 0) & more).sum(axis=1)) + up_v.sum(axis=1)
-        # each row sums its terms in the caller's column order, as one list would
-        by_column = np.argsort(q * n + order[q, p])
-        sums[rows] += np.add.reduceat((numer / denom)[by_column], starts)
+        # in the numerator (the candidates of a range share one relevance),
+        # 1 for equal and more relevant ones in the denominator
+        below = np.bincount(owner[:split], above[:split] * r[starts[:split]], minlength=c)
+        numer = rk + rk * np.bincount(owner[split:], v_sum[split:], minlength=c) + (below + rk * ae)
+        more = np.bincount(owner[split:], above[split:], minlength=c)
+        denom = 1.0 + (ae + more) + np.bincount(owner[:split], v_sum[:split], minlength=c)
+        terms[chunk] = numer / denom
 
-        # d value / d s_j: -rel_k low_s / (total denom) for a more relevant
-        # candidate j, numer up_s / (total denom^2) for a less relevant one
-        up_scale = numer / (total_k * denom**2)
-        low_scale = -r_k / (total_k * denom)
-        d = np.zeros(s.shape)
-        d[:, first:width] = (own * up_scale) @ up_s
-        d[:, begin:] += (own * low_scale) @ low_s
-        d[q, p] -= up_scale * up_s.sum(axis=1) + low_scale * low_s.sum(axis=1)
-        d_scores[rows][each, order] += d
-    return 1.0 - sums / total, d_scores
+        # d value / d s_j: numer up_s / (total denom^2) for a less relevant
+        # candidate j, -rel_k low_s / (total denom) for a more relevant one;
+        # s_k gets the negated sum over its ranges
+        up_scale = numer / (total_k[chunk] * denom**2)
+        low_scale = -rk / (total_k[chunk] * denom)
+        scale = np.concatenate((up_scale[owner[:split]], low_scale[owner[split:]]))
+        sl *= np.take(scale, ranges, out=v, mode="clip")
+        base, stop = row[k0] * n, (row[k1 - 1] + 1) * n
+        index -= base
+        d[base:stop] += np.bincount(index, sl, minlength=stop - base)
+        d[k[chunk]] -= np.bincount(owner, np.add.reduceat(sl, at), minlength=c)
+        k0 = k1
+
+    # each row sums its terms in the caller's column order, as one list would
+    by_column = np.argsort(row * n + order.ravel()[k])
+    sums = np.add.reduceat(terms[by_column], np.searchsorted(row, np.arange(m)))
+    np.put_along_axis(d_scores, order, d.reshape(m, n), axis=1)
+    return 1.0 - sums / total
 
 
 @dataclass

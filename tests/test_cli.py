@@ -144,6 +144,15 @@ class TestEvalCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--scores", "--taxonomy"])
+    def test_input_is_a_directory_is_data_error(self, tmp_path, capsys, flag):
+        tax, sco = write_eval_inputs(tmp_path)
+        inputs = {"--taxonomy": str(tax), "--scores": str(sco), flag: str(tmp_path)}
+        code = run(["eval", *[x for pair in inputs.items() for x in pair],
+                    "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"hirank eval: cannot read {tmp_path}: " in capsys.readouterr().err
+
     def test_out_in_missing_directory_is_data_error(self, tmp_path, capsys):
         tax, sco = write_eval_inputs(tmp_path)
         out = tmp_path / "missing_dir" / "report.json"
@@ -248,6 +257,20 @@ class TestTrainCommand:
         code = run(["train", "--data", str(tmp_path / "ghost"), "--config", str(config),
                     "--out", str(tmp_path / "run")])
         assert code == 2
+
+    def test_config_is_a_directory_is_data_error(self, tmp_path, capsys):
+        data, _ = write_train_inputs(tmp_path)
+        code = run(["train", "--data", str(data), "--config", str(tmp_path),
+                    "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"hirank train: cannot read {tmp_path}: " in capsys.readouterr().err
+
+    def test_data_is_a_file_is_data_error(self, tmp_path, capsys):
+        _, config = write_train_inputs(tmp_path)
+        code = run(["train", "--data", str(config), "--config", str(config),
+                    "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"hirank train: cannot read {config}/" in capsys.readouterr().err
 
     def test_corrupt_config(self, tmp_path, capsys):
         data, config = write_train_inputs(tmp_path)

@@ -19,9 +19,11 @@ relevance; its score gradient, and the batched rank loss with its embedding
 gradient against one query at a time, also on many distinct relevance
 values, score gaps in the linear tail and the saturated sigmoid, queries
 without a positive, and chunk sizes down to one positive per chunk, with
-every floating-point warning raised as an error; the batch clustering loss
-against one softmax per row, for a batch of one, repeated labels and a
-batch from a single class.
+every floating-point warning raised as an error; the surrogate again with
+candidates at the edges of its smooth steps' ranges and 1 ulp either side;
+the rank loss again on a batch of 64 over a depth-3 taxonomy; the batch
+clustering loss against one softmax per row, for a batch of one, repeated
+labels and a batch from a single class.
 """
 
 from unittest import mock
@@ -56,6 +58,7 @@ from hirank.losses import (
     combined_loss,
     cosine_matrix,
     hap_surrogate,
+    heaviside_upper,
 )
 from hirank.metrics import (
     ScoredRanking,
@@ -414,7 +417,8 @@ def assert_close_to_largest(actual: np.ndarray, expected: np.ndarray, floor: flo
 
 
 # chunk sizes that split lists and rows across chunks, down to one positive each
-CHUNKS = st.sampled_from([1, 40, 300, losses._CHUNK])
+CHUNK_SIZES = (1, 40, 300, losses._CHUNK)
+CHUNKS = st.sampled_from(CHUNK_SIZES)
 
 
 @DIFFERENTIAL
@@ -426,6 +430,58 @@ def test_surrogate_gradient_matches_its_oracle(case, chunk):
     assert out.value == pytest.approx(oracle_hap_surrogate(scores, rel, params), abs=1e-12)
     expected = oracle_hap_surrogate_grad(scores, rel, params)
     assert_close_to_largest(out.d_scores, expected, steepest_share(rel, params))
+
+
+@st.composite
+def window_edge_lists(draw) -> tuple[np.ndarray, np.ndarray, SmoothHeavisideParams]:
+    """A positive of relevance 1 and candidates whose scores sit at -40 tau,
+    0, (1 - mu) / nu and delta from its score, and 1 ulp either side of each:
+    the kernel's cut, the exact step and both kinks. Each candidate is less,
+    equally or more relevant, or of relevance 0, so that every edge meets
+    both smooth steps."""
+    params = draw(st.sampled_from(HEAVISIDE))
+    # no score near 0: a gap of 1 ulp there is subnormal and raises underflow
+    s_k = draw(st.floats(0.01, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    edges = s_k + np.array([-40.0 * params.tau, 0.0, (1.0 - params.mu) / params.nu, params.delta])
+    near = np.concatenate((edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)))
+    picked = draw(st.lists(st.sampled_from(range(len(near))), min_size=1, max_size=16))
+    scores = np.concatenate(([s_k], near[picked]))
+    rel = np.array([1.0] + draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                         min_size=len(picked), max_size=len(picked))))
+    order = draw(st.permutations(range(len(scores))))
+    return scores[order], rel[order], params
+
+
+@DIFFERENTIAL
+@given(window_edge_lists())
+def test_surrogate_at_the_window_edges_matches_its_oracle(case):
+    scores, rel, params = case
+    value = oracle_hap_surrogate(scores, rel, params)
+    expected = oracle_hap_surrogate_grad(scores, rel, params)
+    for chunk in CHUNK_SIZES:
+        with np.errstate(all="raise"), mock.patch.object(losses, "_CHUNK", chunk):
+            out = hap_surrogate(scores, rel, params)
+        assert out.value == pytest.approx(value, abs=1e-12)
+        assert_close_to_largest(out.d_scores, expected, steepest_share(rel, params))
+
+
+@pytest.mark.parametrize("params", HEAVISIDE)
+def test_upper_step_is_left_out_only_where_it_is_exactly_zero(params):
+    """One positive, and candidates of relevance 0 from 42 tau to 30 tau
+    below it: each candidate's gradient is the upper slope there over the
+    squared denominator, to 1e-12 relative, and exactly 0 only where that
+    slope is. The oracle cannot see this: a slope within eps of saturation
+    (1e-15 and less) keeps no correct digits in its exp form."""
+    s_k = 0.5
+    scores = np.concatenate(([s_k], s_k + np.linspace(-42.0, -30.0, 60_001) * params.tau))
+    rel = np.zeros(len(scores))
+    rel[0] = 1.0
+    with np.errstate(all="raise"):
+        out = hap_surrogate(scores, rel, params)
+    value, slope = heaviside_upper(scores[1:] - s_k, params)
+    expected = slope / (1.0 + value.sum()) ** 2
+    assert np.array_equal(out.d_scores[1:] == 0, expected == 0)
+    np.testing.assert_allclose(out.d_scores[1:], expected, rtol=1e-12, atol=0)
 
 
 @st.composite
@@ -465,6 +521,33 @@ def test_batch_rank_loss_matches_the_per_query_loop(case, chunk):
     floor = max((steepest_share(np.delete(relevance[q], q), params) for q in ranked), default=0.0)
     norms = np.linalg.norm(embeddings, axis=1)
     assert_close_to_largest(out.d_embedding, d_embedding, floor / norms.min())
+
+
+@pytest.mark.parametrize("params", HEAVISIDE)
+def test_rank_loss_on_a_large_batch_matches_the_per_query_loop(params):
+    """b = 64 over a depth-3 taxonomy under alpha relevance: up to four
+    relevance groups per row, many rows per chunk, and repeated rows whose
+    scores tie."""
+    synth = generate(SynthSpec(branching=(2, 2, 4), instances_per_leaf=4, dim=8,
+                               noise=1.0, holdout_fraction=0.0, seed=6))
+    rows = np.random.default_rng(6).permutation(len(synth.ids))[:64]
+    embeddings = synth.features[rows]
+    embeddings[[5, 22, 47]] = embeddings[30]
+    depth = synth.taxonomy.depth
+    codes = path_codes([synth.taxonomy.path(synth.ids[i]) for i in rows], depth)
+    relevance = relevance_rows(pairwise_levels(codes), RelevanceProfile.alpha(1.0), depth)
+    value, d_embedding, skipped = oracle_rank_loss(embeddings, relevance, params)
+    ranked = [q for q in range(64) if np.delete(relevance[q], q).sum() > 0]
+    floor = max(steepest_share(np.delete(relevance[q], q), params) for q in ranked)
+    norms = np.linalg.norm(embeddings, axis=1)
+    labels = np.zeros(64, dtype=np.int64)
+    bank = ProxyBank(("c0",), np.ones((1, embeddings.shape[1])))
+    for chunk in (1, 300, losses._CHUNK):
+        with np.errstate(all="raise"), mock.patch.object(losses, "_CHUNK", chunk):
+            out = combined_loss(embeddings, relevance, labels, bank, lam=0.0, params=params)
+        assert out.skipped_queries == skipped
+        assert out.value == pytest.approx(value, abs=1e-12)
+        assert_close_to_largest(out.d_embedding, d_embedding, floor / norms.min())
 
 
 @st.composite
