@@ -140,8 +140,8 @@ def cmd_eval(args) -> int:
         print(f"hirank eval: {exc}", file=sys.stderr)
         return USAGE_EXIT
     try:
-        taxonomy = parse_taxonomy(args.taxonomy.read_text())
-        by_query = parse_scores(args.scores.read_text())
+        taxonomy = parse_taxonomy(ds_io.read_text(args.taxonomy))
+        by_query = parse_scores(ds_io.read_text(args.scores))
         rankings = []
         for query_id, (candidates, scores) in by_query.items():
             part = build_partition(taxonomy, query_id, candidates)
@@ -168,7 +168,7 @@ def cmd_eval(args) -> int:
 def cmd_train(args) -> int:
     try:
         ds = ds_io.load_dataset(args.data)
-        raw = json.loads(args.config.read_text())
+        raw = json.loads(ds_io.read_text(args.config))
     except (HirankError, json.JSONDecodeError) as exc:
         print(f"hirank train: {exc}", file=sys.stderr)
         return DATA_EXIT

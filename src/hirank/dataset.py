@@ -1,6 +1,6 @@
 """Dataset container and on-disk formats.
 
-A dataset directory holds three text files:
+A dataset directory holds three UTF-8 text files:
 
     taxonomy.tsv   instance_id<TAB>root/child/leaf (one label path per line)
     features.tsv   instance_id<TAB>comma-separated floats
@@ -26,7 +26,7 @@ from .errors import (
     MalformedRecordError,
     UnknownInstanceError,
 )
-from .taxonomy import Taxonomy, parse_taxonomy, format_taxonomy
+from .taxonomy import Taxonomy, format_taxonomy, parse_taxonomy, records
 
 TAXONOMY_FILE = "taxonomy.tsv"
 FEATURES_FILE = "features.tsv"
@@ -97,20 +97,11 @@ class RetrievalDataset:
 
 
 def parse_features(text: str) -> tuple[tuple[str, ...], np.ndarray]:
-    """Parse `id<TAB>comma-separated floats` lines into (ids, matrix)."""
+    """Parse `id<TAB>comma-separated floats` records into (ids, matrix)."""
     ids: list[str] = []
     rows: list[list[float]] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2 or not fields[0] or not fields[1]:
-            raise MalformedRecordError(
-                f"line {lineno}: expected 'id<TAB>floats', got {line!r}"
-            )
-        instance_id, payload = fields
+    for lineno, (instance_id, payload) in records(text, "id<TAB>floats"):
         if instance_id in seen:
             raise DuplicateInstanceError(f"line {lineno}: {instance_id!r} repeated")
         seen.add(instance_id)
@@ -142,19 +133,19 @@ def format_features(ids: Sequence[str], matrix: np.ndarray) -> str:
 
 
 def parse_split(text: str) -> tuple[str, ...]:
-    """Parse one holdout leaf label per line."""
+    """Parse one holdout leaf label per record, stripped of whitespace; a tab is malformed."""
     out: list[str] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
+    for lineno, (field,) in records(text, "leaf_label"):
+        label = field.strip()
+        if not label:
             continue
-        if "\t" in line or "/" in line:
+        if "/" in label:
             raise MalformedRecordError(f"line {lineno}: expected a bare leaf label")
-        if line in seen:
-            raise DuplicateInstanceError(f"line {lineno}: {line!r} repeated")
-        seen.add(line)
-        out.append(line)
+        if label in seen:
+            raise DuplicateInstanceError(f"line {lineno}: {label!r} repeated")
+        seen.add(label)
+        out.append(label)
     return tuple(out)
 
 
@@ -163,12 +154,20 @@ def format_split(labels: Sequence[str]) -> str:
     return "\n".join(ordered) + ("\n" if ordered else "")
 
 
+def read_text(path: Path) -> str:
+    """Decode `path` as UTF-8 whatever the locale; bad bytes are a MalformedRecordError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRecordError(f"{path}: not UTF-8 at byte {exc.start}") from None
+
+
 def write_text_atomic(path: Path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename over."""
+    """Write UTF-8 via a temp file in the same directory, then rename over."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -180,10 +179,10 @@ def write_text_atomic(path: Path, text: str) -> None:
 def load_dataset(directory: Path) -> RetrievalDataset:
     """Load taxonomy, features and (optional) split from a dataset directory."""
     directory = Path(directory)
-    taxonomy = parse_taxonomy((directory / TAXONOMY_FILE).read_text())
-    ids, features = parse_features((directory / FEATURES_FILE).read_text())
+    taxonomy = parse_taxonomy(read_text(directory / TAXONOMY_FILE))
+    ids, features = parse_features(read_text(directory / FEATURES_FILE))
     split_path = directory / SPLIT_FILE
-    holdout = parse_split(split_path.read_text()) if split_path.exists() else ()
+    holdout = parse_split(read_text(split_path)) if split_path.exists() else ()
     return RetrievalDataset(taxonomy, ids, features, frozenset(holdout))
 
 

@@ -34,6 +34,9 @@ class TooFewLeavesError(HirankError, ValueError):
 class UnknownInstanceError(HirankError, KeyError):
     """An instance id is not present in the hierarchy."""
 
+    def __str__(self) -> str:
+        return f"unknown instance id {self.args[0]!r}"
+
 
 class QueryInCandidatesError(HirankError, ValueError):
     """The query id was also listed as a retrieval candidate."""

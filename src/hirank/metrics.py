@@ -23,12 +23,13 @@ import numpy as np
 from .errors import (
     AllQueriesEmptyError,
     DuplicateInstanceError,
+    EmptyInputError,
     IndexOutOfRangeError,
     MalformedRecordError,
     NegativeQueryError,
     NoPositivesError,
 )
-from .taxonomy import RelevancePartition
+from .taxonomy import RelevancePartition, records
 
 # rows x candidates per evaluated chunk: it bounds every kernel's temporaries
 _CHUNK = 8192
@@ -393,18 +394,10 @@ def evaluate_dataset(
 
 
 def parse_scores(text: str) -> dict[str, tuple[list[str], list[float]]]:
-    """Parse `query_id<TAB>candidate_id<TAB>score` lines, preserving order."""
+    """Parse `query_id<TAB>candidate_id<TAB>score` records, preserving order."""
+    layout = "query<TAB>candidate<TAB>score"
     out: dict[str, tuple[list[str], list[float]]] = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3 or not fields[0] or not fields[1]:
-            raise MalformedRecordError(
-                f"line {lineno}: expected 'query<TAB>candidate<TAB>score', got {line!r}"
-            )
-        query_id, candidate_id, score_text = fields
+    for lineno, (query_id, candidate_id, score_text) in records(text, layout):
         try:
             score = float(score_text)
         except ValueError:
@@ -414,21 +407,15 @@ def parse_scores(text: str) -> dict[str, tuple[list[str], list[float]]]:
         ids, scores = out.setdefault(query_id, ([], []))
         ids.append(candidate_id)
         scores.append(score)
+    if not out:
+        raise EmptyInputError("no score rows")
     if any(len(set(ids)) != len(ids) for ids, _ in out.values()):
-        _raise_first_duplicate(text)
+        # rescan to name the first row that repeats a (query, candidate) pair
+        seen: set[tuple[str, str]] = set()
+        for lineno, (query_id, candidate_id, _) in records(text, layout):
+            if (query_id, candidate_id) in seen:
+                raise DuplicateInstanceError(
+                    f"line {lineno}: candidate {candidate_id!r} repeated for query {query_id!r}"
+                )
+            seen.add((query_id, candidate_id))
     return out
-
-
-def _raise_first_duplicate(text: str) -> None:
-    """Name the first row that repeats a (query, candidate) pair."""
-    seen: set[tuple[str, str]] = set()
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        fields = raw.rstrip("\r").split("\t")
-        if len(fields) != 3:
-            continue
-        pair = (fields[0], fields[1])
-        if pair in seen:
-            raise DuplicateInstanceError(
-                f"line {lineno}: candidate {pair[1]!r} repeated for query {pair[0]!r}"
-            )
-        seen.add(pair)

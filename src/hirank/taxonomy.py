@@ -1,4 +1,4 @@
-"""Label hierarchies and per-query relevance assignment.
+"""Label hierarchies, per-query relevance and the reader of every text format.
 
 A hierarchy file is newline-delimited ``instance_id<TAB>path`` records where
 the path is ``/``-separated, coarsest component first, and every path has the
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -202,20 +202,28 @@ def ancestor_levels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.cumprod(a == b, axis=-1).sum(axis=-1)
 
 
-def parse_taxonomy(text: str) -> Taxonomy:
-    """Parse a hierarchy document into a validated Taxonomy."""
-    entries: dict[str, LabelPath] = {}
-    depth = None
+def records(text: str, layout: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield `(line number, fields)` per non-blank line, trailing carriage returns stripped.
+
+    A line with an empty field or another field count than `layout` (e.g.
+    "id<TAB>path") raises MalformedRecordError naming its 1-based number.
+    """
+    width = layout.count("<TAB>") + 1
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
         if not line:
             continue
         fields = line.split("\t")
-        if len(fields) != 2 or not fields[0] or not fields[1]:
-            raise MalformedRecordError(
-                f"line {lineno}: expected 'instance_id<TAB>path', got {line!r}"
-            )
-        instance_id, path_text = fields
+        if len(fields) != width or "" in fields:
+            raise MalformedRecordError(f"line {lineno}: expected {layout!r}, got {line!r}")
+        yield lineno, fields
+
+
+def parse_taxonomy(text: str) -> Taxonomy:
+    """Parse a hierarchy document (see `records`) into a validated Taxonomy."""
+    entries: dict[str, LabelPath] = {}
+    depth = None
+    for lineno, (instance_id, path_text) in records(text, "instance_id<TAB>path"):
         parts = tuple(path_text.split("/"))
         if any(not p for p in parts):
             raise MalformedRecordError(

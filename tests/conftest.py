@@ -224,6 +224,29 @@ def oracle_asi(scores: np.ndarray, ids, levels: np.ndarray) -> float:
     return total / n_pos
 
 
+# --- record reader oracle ---------------------------------------------------------
+
+
+def oracle_records(text: str, width: int) -> tuple[list[tuple[int, list[str]]], int | None]:
+    """Non-blank lines as (line number, fields) up to the first malformed one.
+
+    A plain loop over the shared line rules: split on newlines, strip trailing
+    carriage returns, skip blank lines, then a line needs `width` tab-separated
+    fields, none empty. Returns the records before the first line that breaks
+    that and its number, or every record and None.
+    """
+    out = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.rstrip("\r")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != width or not all(fields):
+            return out, lineno
+        out.append((lineno, fields))
+    return out, None
+
+
 # --- independent loss oracles ---------------------------------------------------------
 
 

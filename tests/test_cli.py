@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hirank.cli import main, parse_relevance_flag
 from hirank.dataset import FEATURES_FILE, SPLIT_FILE, TAXONOMY_FILE
-from hirank.trainer import HISTORY_FILE, REPORT_FILE, STATE_FILE
+from hirank.trainer import EMBEDDINGS_FILE, HISTORY_FILE, REPORT_FILE, STATE_FILE
 
 FIXTURE_TAXONOMY = (
     "q\tr/s/t\n"
@@ -153,6 +157,30 @@ class TestEvalCommand:
         assert code == 2
         assert f"hirank eval: cannot read {tmp_path}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--taxonomy", "--scores"])
+    def test_non_utf8_input_names_the_file(self, tmp_path, capsys, flag):
+        tax, sco = write_eval_inputs(tmp_path)
+        bad = {"--taxonomy": tax, "--scores": sco}[flag]
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        code = run(["eval", "--taxonomy", str(tax), "--scores", str(sco),
+                    "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"hirank eval: {bad}: not UTF-8 at byte " in capsys.readouterr().err
+
+    def test_unknown_query_id_is_named(self, tmp_path, capsys):
+        tax, sco = write_eval_inputs(tmp_path, scores=FIXTURE_SCORES + "zz\tc1\t1\n")
+        code = run(["eval", "--taxonomy", str(tax), "--scores", str(sco),
+                    "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "hirank eval: unknown instance id 'zz'" in capsys.readouterr().err
+
+    def test_blank_scores_file_is_empty_input(self, tmp_path, capsys):
+        tax, sco = write_eval_inputs(tmp_path, scores="\n\n")
+        code = run(["eval", "--taxonomy", str(tax), "--scores", str(sco),
+                    "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "hirank eval: no score rows" in capsys.readouterr().err
+
     def test_out_in_missing_directory_is_data_error(self, tmp_path, capsys):
         tax, sco = write_eval_inputs(tmp_path)
         out = tmp_path / "missing_dir" / "report.json"
@@ -272,6 +300,33 @@ class TestTrainCommand:
         assert code == 2
         assert f"hirank train: cannot read {config}/" in capsys.readouterr().err
 
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
+        data, config = write_train_inputs(tmp_path)
+        config.write_bytes(b"\xff\xfe{}")
+        code = run(["train", "--data", str(data), "--config", str(config),
+                    "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"hirank train: {config}: not UTF-8 at byte 0" in capsys.readouterr().err
+
+    def test_non_utf8_dataset_file_names_the_file(self, tmp_path, capsys):
+        data, config = write_train_inputs(tmp_path)
+        taxonomy = data / TAXONOMY_FILE
+        taxonomy.write_bytes(taxonomy.read_bytes() + b"x\xff\tr/s/t\n")
+        code = run(["train", "--data", str(data), "--config", str(config),
+                    "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"hirank train: {taxonomy}: not UTF-8 at byte " in capsys.readouterr().err
+
+    def test_feature_row_for_unknown_id_is_named(self, tmp_path, capsys):
+        data, config = write_train_inputs(tmp_path)
+        features = data / FEATURES_FILE
+        first = features.read_text().split("\n", 1)[0]
+        features.write_text(features.read_text() + "zz\t" + first.split("\t")[1] + "\n")
+        code = run(["train", "--data", str(data), "--config", str(config),
+                    "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "hirank train: unknown instance id 'zz'" in capsys.readouterr().err
+
     def test_corrupt_config(self, tmp_path, capsys):
         data, config = write_train_inputs(tmp_path)
         config.write_text("{not json")
@@ -361,6 +416,45 @@ class TestTrainCommand:
                     "--out", str(tmp_path / "run")]) == 0
         out = capsys.readouterr().out
         assert "epoch 1/1" in out
+
+
+# the C locale with UTF-8 mode and locale coercion off: the default encoding is ASCII
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def run_cli(argv, env_over):
+    """Run `hirank` in a fresh interpreter with `env_over` set in its environment."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(env_over, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "hirank.cli", *argv], env=env,
+                          capture_output=True, text=True, errors="replace")
+
+
+def test_non_ascii_ids_under_c_locale(tmp_path):
+    data, config = write_train_inputs(tmp_path, {"epochs": 1})
+    for name in (TAXONOMY_FILE, FEATURES_FILE, SPLIT_FILE):
+        path = data / name
+        path.write_text(path.read_text().replace("n", "ñ"), encoding="utf-8")
+    taxonomy = data / TAXONOMY_FILE
+    ids = [line.split("\t")[0] for line in taxonomy.read_text(encoding="utf-8").splitlines()]
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("".join(f"{ids[0]}\t{c}\t{i}\n" for i, c in enumerate(ids[1:])),
+                      encoding="utf-8")
+    outputs = []
+    for mode, env in (("c", C_LOCALE), ("utf8", {"PYTHONUTF8": "1"})):
+        out = tmp_path / mode
+        for argv in (
+            ["train", "--data", str(data), "--config", str(config), "--out", str(out), "--quiet"],
+            ["eval", "--taxonomy", str(taxonomy), "--scores", str(scores),
+             "--out", str(out / "eval.json")],
+        ):
+            proc = run_cli(argv, env)
+            assert proc.returncode == 0, proc.stderr
+            assert "Traceback" not in proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert "ñ".encode("utf-8") in outputs[0][EMBEDDINGS_FILE]
+    assert outputs[0] == outputs[1]
 
 
 class TestGradcheckCommand:

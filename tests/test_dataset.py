@@ -11,6 +11,7 @@ from hirank.dataset import (
     load_dataset,
     parse_features,
     parse_split,
+    read_text,
     write_dataset,
     write_text_atomic,
 )
@@ -85,6 +86,13 @@ class TestParseFeatures:
         assert back_ids == ids
         assert np.array_equal(back, matrix)
 
+    def test_round_trip_non_ascii(self):
+        ids = ("é1", "漢2")
+        matrix = np.array([[0.5], [-1.25]])
+        back_ids, back = parse_features(format_features(ids, matrix))
+        assert back_ids == ids
+        assert np.array_equal(back, matrix)
+
     def test_malformed_line(self):
         with pytest.raises(MalformedRecordError, match="line 2"):
             parse_features("a\t1.0\nb\n")
@@ -119,6 +127,17 @@ class TestParseSplit:
         with pytest.raises(MalformedRecordError):
             parse_split("a\tb\n")
 
+    def test_trailing_tab_is_malformed(self):
+        # a tab is a field separator in every format, also at the end of a line
+        with pytest.raises(MalformedRecordError, match="line 2: expected 'leaf_label'"):
+            parse_split("v\nw\t\n")
+
+    def test_surrounding_spaces_stripped(self):
+        assert parse_split(" v \r\n   \nw\n") == ("v", "w")
+
+    def test_round_trip_non_ascii(self):
+        assert parse_split(format_split(["漢", "é"])) == ("é", "漢")
+
     def test_duplicate(self):
         with pytest.raises(DuplicateInstanceError, match="line 2"):
             parse_split("v\nv\n")
@@ -126,6 +145,23 @@ class TestParseSplit:
     def test_format_sorts(self):
         assert format_split(["w", "v"]) == "v\nw\n"
         assert format_split([]) == ""
+
+
+class TestReadText:
+    def test_decodes_utf8(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes("é\t漢\r\n".encode("utf-8"))
+        assert read_text(path) == "é\t漢\n"
+
+    def test_not_utf8_names_file_and_offset(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"ok\n\xff\n")
+        with pytest.raises(MalformedRecordError, match=f"^{path}: not UTF-8 at byte 3$"):
+            read_text(path)
+
+    def test_os_errors_pass_through(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_text(tmp_path / "missing.tsv")
 
 
 class TestAtomicWrite:
@@ -146,6 +182,16 @@ class TestDatasetIo:
         assert back.ids == ds.ids
         assert np.array_equal(back.features, ds.features)
         assert back.holdout_classes == ds.holdout_classes
+        assert back.taxonomy.entries == ds.taxonomy.entries
+
+    def test_directory_round_trip_non_ascii(self, tmp_path):
+        text = TAXONOMY.replace("a", "é").replace("v", "ü")
+        ids = ("é1", "é2", "b1", "b2")
+        ds = RetrievalDataset(parse_taxonomy(text), ids, np.eye(4), frozenset({"ü"}))
+        write_dataset(ds, tmp_path)
+        back = load_dataset(tmp_path)
+        assert back.ids == ids
+        assert back.holdout_classes == frozenset({"ü"})
         assert back.taxonomy.entries == ds.taxonomy.entries
 
     def test_split_file_is_optional(self, tmp_path):

@@ -24,6 +24,12 @@ candidates at the edges of its smooth steps' ranges and 1 ulp either side;
 the rank loss again on a batch of 64 over a depth-3 taxonomy; the batch
 clustering loss against one softmax per row, for a batch of one, repeated
 labels and a batch from a single class.
+
+The line reader `records` and the four text parsers built on it are checked
+against a plain line loop on generated texts with blank lines, CRLF and lone
+trailing CR line ends, empty fields, a field too many or too few, repeated
+ids and non-ASCII ids: the records accepted, the exception class and the
+line it names must match.
 """
 
 from unittest import mock
@@ -46,11 +52,19 @@ from conftest import (
     oracle_list_order,
     oracle_ndcg,
     oracle_recall_at_k,
+    oracle_records,
     oracle_relevance_rows,
     weighted_relevance,
 )
 from hirank import losses, metrics
-from hirank.errors import AllQueriesEmptyError, EmptyLevelDivisionError
+from hirank.errors import (
+    AllQueriesEmptyError,
+    DuplicateInstanceError,
+    EmptyInputError,
+    EmptyLevelDivisionError,
+    MalformedRecordError,
+    TooFewLeavesError,
+)
 from hirank.losses import (
     ProxyBank,
     SmoothHeavisideParams,
@@ -67,6 +81,7 @@ from hirank.metrics import (
     evaluate_dataset,
     h_ap,
     ndcg,
+    parse_scores,
     recall_at_k,
 )
 from hirank.taxonomy import (
@@ -77,8 +92,9 @@ from hirank.taxonomy import (
     parse_taxonomy,
     partition_from_paths,
     path_codes,
+    records,
 )
-from hirank.dataset import RetrievalDataset
+from hirank.dataset import RetrievalDataset, parse_features, parse_split
 from hirank.synthgen import SynthSpec, generate
 from hirank.trainer import (
     TrainerConfig,
@@ -588,3 +604,105 @@ def test_batch_clustering_matches_the_per_row_loop(case):
         assert row.value == out.value
         assert np.array_equal(row.d_embedding, out.d_embedding[0])
         assert np.array_equal(row.d_proxies, out.d_proxies)
+
+
+# --- the record reader and the text parsers -------------------------------------------
+
+IDS = ["a", "b", "é", "漢"]
+# per format: the parser, each field's valid values and the key that must not repeat;
+# the values never break a parser's own rules, so only the line rules and repeats fail
+RECORD_FORMATS = {
+    "taxonomy": (parse_taxonomy, [IDS, ["r/x", "r/y", "s/z"]], lambda f: f[0]),
+    "features": (parse_features, [IDS, ["1.5", "-2", "2.5e-1"]], lambda f: f[0]),
+    "split": (parse_split, [["x", "y", "ü"]], lambda f: f[0]),
+    "scores": (parse_scores, [["q", "é"], IDS, ["1.5", "-2", "0"]], lambda f: (f[0], f[1])),
+}
+
+
+@st.composite
+def record_texts(draw, values: list[list[str]]) -> str:
+    """Lines of tab-separated fields drawn from `values`, with the line faults mixed in."""
+    width = len(values)
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("record", "record", "record", "blank", "fault")))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(("", "\r"))))
+            continue
+        count = draw(st.integers(max(1, width - 1), width + 1)) if kind == "fault" else width
+        fields = [draw(st.sampled_from(values[min(i, width - 1)])) for i in range(count)]
+        if kind == "fault" and draw(st.booleans()):
+            fields[draw(st.integers(0, count - 1))] = ""
+        lines.append("\t".join(fields))
+    text = "".join(line + draw(st.sampled_from(("\n", "\r\n"))) for line in lines)
+    return text[: -1] if text and draw(st.booleans()) else text + draw(st.sampled_from(("", "\r")))
+
+
+def expected_parse(kind: str, text: str):
+    """What a parser returns for `text`, as (records, None), or raises, as (class, line)."""
+    _, values, key = RECORD_FORMATS[kind]
+    accepted, bad = oracle_records(text, len(values))
+    seen, repeat = set(), None
+    for lineno, fields in accepted:
+        if key(fields) in seen:
+            repeat = lineno
+            break
+        seen.add(key(fields))
+    # scores look for repeats once every line has parsed; the rest as they go
+    if bad is not None and (kind == "scores" or repeat is None):
+        return MalformedRecordError, bad
+    if repeat is not None:
+        return DuplicateInstanceError, repeat
+    return [fields for _, fields in accepted], None
+
+
+@DIFFERENTIAL
+@given(st.data(), st.sampled_from(sorted(RECORD_FORMATS)))
+def test_records_match_the_oracle(data, kind):
+    values = RECORD_FORMATS[kind][1]
+    text = data.draw(record_texts(values))
+    layout = "<TAB>".join(f"f{i}" for i in range(len(values)))
+    accepted, bad = oracle_records(text, len(values))
+    got = []
+    reader = records(text, layout)
+    if bad is None:
+        got.extend(reader)
+    else:
+        with pytest.raises(MalformedRecordError, match=f"^line {bad}: expected '{layout}', got "):
+            got.extend(reader)
+    assert got == accepted
+
+
+@DIFFERENTIAL
+@given(st.data(), st.sampled_from(sorted(RECORD_FORMATS)))
+def test_parsers_read_records_like_the_oracle(data, kind):
+    parse, values, _ = RECORD_FORMATS[kind]
+    text = data.draw(record_texts(values))
+    expected, line = expected_parse(kind, text)
+    if line is not None:
+        with pytest.raises(expected, match=f"^line {line}: "):
+            parse(text)
+        return
+    rows = expected
+    if not rows and kind != "split":
+        with pytest.raises(EmptyInputError):
+            parse(text)
+        return
+    if kind == "taxonomy":
+        if len({f[1] for f in rows}) < 2:
+            with pytest.raises(TooFewLeavesError):
+                parse(text)
+            return
+        assert list(parse(text).entries.items()) == [(i, tuple(p.split("/"))) for i, p in rows]
+    elif kind == "features":
+        ids, matrix = parse(text)
+        assert ids == tuple(f[0] for f in rows)
+        assert matrix.tolist() == [[float(f[1])] for f in rows]
+    elif kind == "split":
+        assert parse(text) == tuple(f[0] for f in rows)
+    else:
+        by_query: dict[str, tuple[list[str], list[float]]] = {}
+        for q, c, score in rows:
+            by_query.setdefault(q, ([], []))[0].append(c)
+            by_query[q][1].append(float(score))
+        assert parse(text) == by_query

@@ -14,6 +14,7 @@ from conftest import (
 from hirank.errors import (
     AllQueriesEmptyError,
     DuplicateInstanceError,
+    EmptyInputError,
     IndexOutOfRangeError,
     MalformedRecordError,
     NegativeQueryError,
@@ -433,3 +434,12 @@ class TestParseScores:
     def test_malformed_line(self):
         with pytest.raises(MalformedRecordError, match="line 1"):
             parse_scores("q\ta\n")
+
+    def test_blank_lines_only_is_empty(self):
+        with pytest.raises(EmptyInputError, match="no score rows"):
+            parse_scores("\n\r\n\n")
+
+    def test_round_trip_non_ascii(self):
+        rows = [("é", "漢", 0.1), ("é", "ø", -1 / 3), ("ß", "漢", 2.0)]
+        text = "".join(f"{q}\t{c}\t{s!r}\n" for q, c, s in rows)
+        assert parse_scores(text) == {"é": (["漢", "ø"], [0.1, -1 / 3]), "ß": (["漢"], [2.0])}

@@ -83,6 +83,11 @@ class TestParseTaxonomy:
         assert again.entries == dict(tax.entries)
         assert again.level_sizes == tax.level_sizes
 
+    def test_format_round_trip_non_ascii(self):
+        tax = parse_taxonomy("é1\tпути/ß/漢\nø2\tпути/ß/ü\n")
+        assert tax.path("é1") == ("пути", "ß", "漢")
+        assert parse_taxonomy(format_taxonomy(tax)).entries == dict(tax.entries)
+
     def test_leaf_only_view(self):
         tax = leaf_only(parse_taxonomy(VEHICLES))
         assert tax.depth == 1
