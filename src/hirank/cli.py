@@ -140,8 +140,8 @@ def cmd_eval(args) -> int:
         print(f"hirank eval: {exc}", file=sys.stderr)
         return USAGE_EXIT
     try:
-        taxonomy = parse_taxonomy(ds_io.read_text(args.taxonomy))
-        by_query = parse_scores(ds_io.read_text(args.scores))
+        taxonomy = ds_io.read_file(args.taxonomy, parse_taxonomy)
+        by_query = ds_io.read_file(args.scores, parse_scores)
         rankings = []
         for query_id, (candidates, scores) in by_query.items():
             part = build_partition(taxonomy, query_id, candidates)
@@ -168,8 +168,8 @@ def cmd_eval(args) -> int:
 def cmd_train(args) -> int:
     try:
         ds = ds_io.load_dataset(args.data)
-        raw = json.loads(ds_io.read_text(args.config))
-    except (HirankError, json.JSONDecodeError) as exc:
+        raw = ds_io.read_file(args.config, json.loads)
+    except HirankError as exc:
         print(f"hirank train: {exc}", file=sys.stderr)
         return DATA_EXIT
     except OSError as exc:

@@ -8,6 +8,9 @@ A dataset directory holds three UTF-8 text files:
 
 The holdout is open-set by construction: the split names whole fine (leaf)
 classes, so no held-out class can also occur in training.
+
+Every input file of the CLI is read through `read_file`, so a data error
+in it names the file.
 """
 
 from __future__ import annotations
@@ -16,13 +19,14 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import (
     DuplicateInstanceError,
     EmptyInputError,
+    HirankError,
     MalformedRecordError,
     UnknownInstanceError,
 )
@@ -31,6 +35,8 @@ from .taxonomy import Taxonomy, format_taxonomy, parse_taxonomy, records
 TAXONOMY_FILE = "taxonomy.tsv"
 FEATURES_FILE = "features.tsv"
 SPLIT_FILE = "split.txt"
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -162,6 +168,23 @@ def read_text(path: Path) -> str:
         raise MalformedRecordError(f"{path}: not UTF-8 at byte {exc.start}") from None
 
 
+def read_file(path: Path, parse: Callable[[str], T]) -> T:
+    """`parse` applied to the UTF-8 text of `path`; every data error names the file.
+
+    A HirankError from `parse` keeps its class and gets `path` in front of its
+    message; any other ValueError (a JSON syntax error, say) becomes a
+    MalformedRecordError that reads the same way. OSError passes through.
+    """
+    text = read_text(path)
+    try:
+        return parse(text)
+    except HirankError as exc:
+        exc.path = path
+        raise
+    except ValueError as exc:
+        raise MalformedRecordError(f"{path}: {exc}") from None
+
+
 def write_text_atomic(path: Path, text: str) -> None:
     """Write UTF-8 via a temp file in the same directory, then rename over."""
     path = Path(path)
@@ -179,10 +202,10 @@ def write_text_atomic(path: Path, text: str) -> None:
 def load_dataset(directory: Path) -> RetrievalDataset:
     """Load taxonomy, features and (optional) split from a dataset directory."""
     directory = Path(directory)
-    taxonomy = parse_taxonomy(read_text(directory / TAXONOMY_FILE))
-    ids, features = parse_features(read_text(directory / FEATURES_FILE))
+    taxonomy = read_file(directory / TAXONOMY_FILE, parse_taxonomy)
+    ids, features = read_file(directory / FEATURES_FILE, parse_features)
     split_path = directory / SPLIT_FILE
-    holdout = parse_split(read_text(split_path)) if split_path.exists() else ()
+    holdout = read_file(split_path, parse_split) if split_path.exists() else ()
     return RetrievalDataset(taxonomy, ids, features, frozenset(holdout))
 
 

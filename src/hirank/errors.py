@@ -2,7 +2,19 @@
 
 
 class HirankError(Exception):
-    """Base class for all hirank errors."""
+    """Base class for all hirank errors.
+
+    `path` names the input file an error was found in; when set, it leads
+    the message.
+    """
+
+    path = None
+
+    def __str__(self) -> str:
+        return self._located(super().__str__())
+
+    def _located(self, message: str) -> str:
+        return message if self.path is None else f"{self.path}: {message}"
 
 
 # --- label hierarchy / relevance ---------------------------------------------
@@ -35,11 +47,14 @@ class UnknownInstanceError(HirankError, KeyError):
     """An instance id is not present in the hierarchy."""
 
     def __str__(self) -> str:
-        return f"unknown instance id {self.args[0]!r}"
+        return self._located(f"unknown instance id {self.args[0]!r}")
 
 
 class QueryInCandidatesError(HirankError, ValueError):
     """The query id was also listed as a retrieval candidate."""
+
+    def __str__(self) -> str:
+        return self._located(f"query {self.args[0]!r} is among its own candidates")
 
 
 class EmptyLevelDivisionError(HirankError, ValueError):

@@ -6,14 +6,18 @@ resampled until every pairwise difference clears the piecewise branch
 points of the smoothed steps (and the exact steps' jump at zero) by a
 safety margin, since no finite difference is meaningful across a kink.
 
-Each check family keeps the inputs of its worst trial so a failure can be
-dumped and replayed exactly.
+Each check family is a generator `(rng, trials, eps)` that yields, for
+every gradient it tests, the analytic gradient, its central-difference
+estimate and the inputs that replay the trial. `run_checks` is the one
+driver: it seeds each family, scores every yield by `max_rel_err`, and
+keeps the inputs of the worst one so a failure can be dumped and
+replayed exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -31,6 +35,9 @@ from .losses import (
 
 DEFAULT_EPS = 1e-5
 DEFAULT_TOL = 1e-4
+
+# (analytic gradient, numeric gradient, replay inputs) of one tested gradient
+Trial = tuple[np.ndarray, np.ndarray, dict]
 
 
 @dataclass(frozen=True)
@@ -53,19 +60,6 @@ class CheckResult:
             f"{self.name}: {self.trials} trials, "
             f"max rel err {self.max_rel_err:.3e} (tol {self.tol:.1e}) {status}"
         )
-
-
-class _Worst:
-    """Tracks the largest error seen and the inputs that produced it."""
-
-    def __init__(self):
-        self.err = 0.0
-        self.config: dict = {}
-
-    def offer(self, err: float, config: dict) -> None:
-        if err >= self.err:
-            self.err = err
-            self.config = config
 
 
 def numeric_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, eps: float) -> np.ndarray:
@@ -100,36 +94,34 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(a - n) / denom).max())
 
 
-def _clears_kinks(diffs: np.ndarray, params: SmoothHeavisideParams, margin: float) -> bool:
-    for kink in params.kinks():
-        if np.any(np.abs(np.abs(diffs) - kink) < margin):
-            return False
-    return True
+def _clears_kinks(rows: np.ndarray, params: SmoothHeavisideParams, margin: float) -> bool:
+    """True when no two scores of any row of the (m, n) `rows` differ by a kink +- margin."""
+    n = rows.shape[1]
+    gaps = np.abs((rows[:, None, :] - rows[:, :, None])[:, ~np.eye(n, dtype=bool)])
+    return not any(np.any(np.abs(gaps - kink) < margin) for kink in params.kinks())
 
 
-def _safe_scores(
-    rng: np.random.Generator, n: int, params: SmoothHeavisideParams, margin: float
+def _embedding_rows(rng: np.random.Generator, b: int, dim: int) -> np.ndarray:
+    """`b` random rows of width `dim` with norms drawn from [0.7, 1.5)."""
+    x = rng.standard_normal((b, dim))
+    x *= rng.uniform(0.7, 1.5, size=(b, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+    return x
+
+
+def _proxy_gradient(
+    loss_of_bank: Callable[[ProxyBank], float], bank: ProxyBank, eps: float
 ) -> np.ndarray:
-    while True:
-        scores = rng.uniform(-1.0, 1.0, size=n)
-        diffs = scores[None, :] - scores[:, None]
-        if _clears_kinks(diffs[~np.eye(n, dtype=bool)], params, margin):
-            return scores
+    """Central differences of `loss_of_bank` w.r.t. every proxy entry, flat."""
+
+    def loss_of_proxies(flat: np.ndarray) -> float:
+        trial_bank = ProxyBank(bank.class_ids, flat.reshape(bank.vectors.shape), bank.sigma)
+        return loss_of_bank(trial_bank)
+
+    return numeric_gradient(loss_of_proxies, bank.vectors.ravel(), eps)
 
 
-def _random_relevance(rng: np.random.Generator, n: int) -> np.ndarray:
-    values = np.array([0.0, 0.2, 0.5, 1.0])
-    rel = values[rng.integers(0, len(values), size=n)]
-    if not rel.any():
-        rel[rng.integers(0, n)] = 1.0
-    return rel
-
-
-def check_heaviside(
-    trials: int, eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL, seed: int = 0
-) -> CheckResult:
+def heaviside_trials(rng: np.random.Generator, trials: int, eps: float) -> Iterator[Trial]:
     """Both smoothed steps: reported slope vs central differences, per branch."""
-    rng = np.random.default_rng(seed)
     params = SmoothHeavisideParams()
     margin = 10 * eps
     ramp_end = (1.0 - params.mu) / params.nu
@@ -143,66 +135,47 @@ def check_heaviside(
         ("upper", params.delta + margin, 1.0),
     ]
     funcs = {"lower": heaviside_lower, "upper": heaviside_upper}
-    worst = _Worst()
     for trial in range(trials):
         for side, low, high in branches:
             t = np.array([rng.uniform(low, high)])
             step = funcs[side]
-            analytic = step(t, params)[1]
-            hi = step(t + eps, params)[0]
-            lo = step(t - eps, params)[0]
-            numeric = (hi - lo) / (2 * eps)
-            worst.offer(
-                max_rel_err(analytic, numeric),
-                {"check": "heaviside", "trial": trial, "side": side, "t": float(t[0])},
-            )
-    return CheckResult("heaviside", trials, worst.err, tol, worst.config)
+            # (f(t + eps) - f(t - eps)): numeric_gradient's t + eps - 2 eps rounds differently
+            numeric = (step(t + eps, params)[0] - step(t - eps, params)[0]) / (2 * eps)
+            yield step(t, params)[1], numeric, {"trial": trial, "side": side, "t": float(t[0])}
 
 
-def check_surrogate(
-    trials: int, eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL, seed: int = 0
-) -> CheckResult:
+def surrogate_trials(rng: np.random.Generator, trials: int, eps: float) -> Iterator[Trial]:
     """Ranking surrogate: analytic d_scores vs central differences."""
-    rng = np.random.default_rng(seed)
     params = SmoothHeavisideParams()
     margin = 10 * eps
-    worst = _Worst()
+    values = np.array([0.0, 0.2, 0.5, 1.0])
     for trial in range(trials):
         n = int(rng.integers(5, 13))
-        rel = _random_relevance(rng, n)
-        scores = _safe_scores(rng, n, params, margin)
-        analytic = hap_surrogate(scores, rel, params).d_scores
-        numeric = numeric_gradient(
-            lambda s: hap_surrogate(s, rel, params).value, scores, eps
+        rel = values[rng.integers(0, len(values), size=n)]
+        if not rel.any():
+            rel[rng.integers(0, n)] = 1.0
+        while True:
+            scores = rng.uniform(-1.0, 1.0, size=n)
+            if _clears_kinks(scores[None, :], params, margin):
+                break
+        numeric = numeric_gradient(lambda s: hap_surrogate(s, rel, params).value, scores, eps)
+        yield (
+            hap_surrogate(scores, rel, params).d_scores,
+            numeric,
+            {"trial": trial, "scores": scores.tolist(), "relevance": rel.tolist()},
         )
-        worst.offer(
-            max_rel_err(analytic, numeric),
-            {
-                "check": "surrogate",
-                "trial": trial,
-                "scores": scores.tolist(),
-                "relevance": rel.tolist(),
-            },
-        )
-    return CheckResult("surrogate", trials, worst.err, tol, worst.config)
 
 
-def check_clustering(
-    trials: int, eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL, seed: int = 0
-) -> CheckResult:
+def clustering_trials(rng: np.random.Generator, trials: int, eps: float) -> Iterator[Trial]:
     """Clustering loss: gradients w.r.t. the embedding and every proxy."""
-    rng = np.random.default_rng(seed)
-    worst = _Worst()
     for trial in range(trials):
         n_classes = int(rng.integers(3, 9))
         dim = int(rng.integers(4, 17))
-        class_ids = tuple(f"c{i}" for i in range(n_classes))
-        bank = ProxyBank.random(class_ids, dim, rng)
+        bank = ProxyBank.random(tuple(f"c{i}" for i in range(n_classes)), dim, rng)
         target = int(rng.integers(0, n_classes))
         v = rng.standard_normal(dim)
         v /= np.linalg.norm(v)
         config = {
-            "check": "clustering",
             "trial": trial,
             "target": target,
             "embedding": v.tolist(),
@@ -210,31 +183,18 @@ def check_clustering(
         }
 
         out = clustering_loss(v, target, bank)
-        numeric_v = numeric_gradient(
-            lambda x: clustering_loss(x, target, bank).value, v, eps
-        )
-        worst.offer(max_rel_err(out.d_embedding, numeric_v), config)
-
-        def loss_of_proxies(flat: np.ndarray) -> float:
-            trial_bank = ProxyBank(class_ids, flat.reshape(bank.vectors.shape), bank.sigma)
-            return clustering_loss(v, target, trial_bank).value
-
-        numeric_p = numeric_gradient(loss_of_proxies, bank.vectors.ravel(), eps)
-        worst.offer(max_rel_err(out.d_proxies.ravel(), numeric_p), config)
-    return CheckResult("clustering", trials, worst.err, tol, worst.config)
+        numeric_v = numeric_gradient(lambda x: clustering_loss(x, target, bank).value, v, eps)
+        yield out.d_embedding, numeric_v, config
+        numeric_p = _proxy_gradient(lambda pb: clustering_loss(v, target, pb).value, bank, eps)
+        yield out.d_proxies.ravel(), numeric_p, config
 
 
-def check_cosine(
-    trials: int, eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL, seed: int = 0
-) -> CheckResult:
+def cosine_trials(rng: np.random.Generator, trials: int, eps: float) -> Iterator[Trial]:
     """Cosine head: backprop through row normalization and the score matrix."""
-    rng = np.random.default_rng(seed)
-    worst = _Worst()
     for trial in range(trials):
         b = int(rng.integers(3, 7))
         dim = int(rng.integers(3, 10))
-        x = rng.standard_normal((b, dim))
-        x *= rng.uniform(0.7, 1.5, size=(b, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+        x = _embedding_rows(rng, b, dim)
         weight = rng.standard_normal((b, b))
 
         def scalar(flat: np.ndarray) -> float:
@@ -242,57 +202,36 @@ def check_cosine(
             return float((weight * (unit @ unit.T)).sum())
 
         unit, norms = unit_rows(x)
-        d_unit = (weight + weight.T) @ unit
-        analytic = unit_rows_backprop(unit, norms, d_unit)
-        numeric = numeric_gradient(scalar, x.ravel(), eps)
-        worst.offer(
-            max_rel_err(analytic.ravel(), numeric),
-            {
-                "check": "cosine",
-                "trial": trial,
-                "embeddings": x.tolist(),
-                "weight": weight.tolist(),
-            },
+        analytic = unit_rows_backprop(unit, norms, (weight + weight.T) @ unit)
+        yield (
+            analytic.ravel(),
+            numeric_gradient(scalar, x.ravel(), eps),
+            {"trial": trial, "embeddings": x.tolist(), "weight": weight.tolist()},
         )
-    return CheckResult("cosine", trials, worst.err, tol, worst.config)
 
 
-def check_combined(
-    trials: int, eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL, seed: int = 0
-) -> CheckResult:
+def combined_trials(rng: np.random.Generator, trials: int, eps: float) -> Iterator[Trial]:
     """Full batch objective: gradients w.r.t. raw embeddings and proxies."""
-    rng = np.random.default_rng(seed)
     params = SmoothHeavisideParams()
     # perturbing raw embeddings moves every cosine score, so demand extra
     # clearance around the kinks compared to the direct score checks
     margin = 20 * eps
-    worst = _Worst()
+    lam = 0.3
     for trial in range(trials):
         b = int(rng.integers(4, 8))
         dim = int(rng.integers(4, 9))
         n_classes = 3
-        class_ids = tuple(f"c{i}" for i in range(n_classes))
         labels = [int(rng.integers(0, n_classes)) for _ in range(b)]
-        rel = np.zeros((b, b))
-        for q in range(b):
-            for j in range(b):
-                if j != q and labels[j] == labels[q]:
-                    rel[q, j] = 1.0
         off = ~np.eye(b, dtype=bool)
+        label_array = np.asarray(labels)
+        rel = ((label_array[:, None] == label_array) & off).astype(np.float64)
         while True:
-            x = rng.standard_normal((b, dim))
-            x *= rng.uniform(0.7, 1.5, size=(b, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
-            scores = unit_rows(x)[0] @ unit_rows(x)[0].T
-            per_query = [scores[q, off[q]] for q in range(b)]
-            diffs = np.concatenate(
-                [(s[None, :] - s[:, None])[~np.eye(b - 1, dtype=bool)] for s in per_query]
-            )
-            if _clears_kinks(diffs, params, margin):
+            x = _embedding_rows(rng, b, dim)
+            unit = unit_rows(x)[0]
+            if _clears_kinks((unit @ unit.T)[off].reshape(b, b - 1), params, margin):
                 break
-        bank = ProxyBank.random(class_ids, dim, rng)
-        lam = 0.3
+        bank = ProxyBank.random(tuple(f"c{i}" for i in range(n_classes)), dim, rng)
         config = {
-            "check": "combined",
             "trial": trial,
             "labels": labels,
             "lambda": lam,
@@ -302,29 +241,23 @@ def check_combined(
 
         out = combined_loss(x, rel, labels, bank, lam, params)
         numeric_x = numeric_gradient(
-            lambda flat: combined_loss(
-                flat.reshape(b, dim), rel, labels, bank, lam, params
-            ).value,
+            lambda flat: combined_loss(flat.reshape(b, dim), rel, labels, bank, lam, params).value,
             x.ravel(),
             eps,
         )
-        worst.offer(max_rel_err(out.d_embedding.ravel(), numeric_x), config)
-
-        def loss_of_proxies(flat: np.ndarray) -> float:
-            trial_bank = ProxyBank(class_ids, flat.reshape(bank.vectors.shape), bank.sigma)
-            return combined_loss(x, rel, labels, trial_bank, lam, params).value
-
-        numeric_p = numeric_gradient(loss_of_proxies, bank.vectors.ravel(), eps)
-        worst.offer(max_rel_err(out.d_proxies.ravel(), numeric_p), config)
-    return CheckResult("combined", trials, worst.err, tol, worst.config)
+        yield out.d_embedding.ravel(), numeric_x, config
+        numeric_p = _proxy_gradient(
+            lambda pb: combined_loss(x, rel, labels, pb, lam, params).value, bank, eps
+        )
+        yield out.d_proxies.ravel(), numeric_p, config
 
 
-CHECKS: dict[str, Callable[..., CheckResult]] = {
-    "heaviside": check_heaviside,
-    "surrogate": check_surrogate,
-    "clustering": check_clustering,
-    "cosine": check_cosine,
-    "combined": check_combined,
+CHECKS: dict[str, Callable[[np.random.Generator, int, float], Iterator[Trial]]] = {
+    "heaviside": heaviside_trials,
+    "surrogate": surrogate_trials,
+    "clustering": clustering_trials,
+    "cosine": cosine_trials,
+    "combined": combined_trials,
 }
 
 
@@ -335,5 +268,17 @@ def run_checks(
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> list[CheckResult]:
-    picked = names or list(CHECKS)
-    return [CHECKS[name](trials, eps, tol, seed) for name in picked]
+    """Run each named family (all by default) from a generator seeded with `seed`.
+
+    A family's result carries its largest `max_rel_err` and the replay inputs
+    of the last yield that reached it.
+    """
+    results = []
+    for name in names or list(CHECKS):
+        worst_err, worst_config = 0.0, {}
+        for analytic, numeric, config in CHECKS[name](np.random.default_rng(seed), trials, eps):
+            err = max_rel_err(analytic, numeric)
+            if err >= worst_err:
+                worst_err, worst_config = err, {"check": name, **config}
+        results.append(CheckResult(name, trials, worst_err, tol, worst_config))
+    return results

@@ -104,15 +104,29 @@ class TrainerConfig:
         return self.batch_size // self.m_per_class
 
 
+# JSON key -> (TrainerConfig field, conversion or None) of each config object's
+# plain keys; an absent key keeps the field's default, None keeps the value
+_CONFIG_FIELDS = {
+    "model": {"kind": ("model_kind", None), "dim": ("dim", int), "in_dim": ("in_dim", int)},
+    "optimizer": {
+        "kind": ("optimizer_kind", None),
+        **{key: (key, float) for key in ("momentum", "beta1", "beta2", "eps")},
+    },
+    "config": {
+        "lr0": ("lr0", float),
+        **{key: (key, int) for key in (
+            "epochs", "batch_size", "m_per_class", "warmup_epochs", "seed", "eval_every")},
+        "recall_ks": ("recall_ks", lambda ks: tuple(int(k) for k in _config_list(ks, "recall_ks"))),
+    },
+    "objective": {"lambda": ("lam", float), "sigma": ("sigma", float)},
+}
+
 # the keys of each config object, as the README schema lists them
 _CONFIG_KEYS = {
-    "config": (
-        "model", "optimizer", "lr0", "epochs", "batch_size", "m_per_class",
-        "warmup_epochs", "seed", "eval_every", "recall_ks", "objective",
-    ),
-    "model": ("kind", "dim", "in_dim"),
-    "optimizer": ("kind", "momentum", "beta1", "beta2", "eps"),
-    "objective": ("lambda", "sigma", "profile", "heaviside"),
+    "config": (*_CONFIG_FIELDS["config"], "model", "optimizer", "objective"),
+    "model": tuple(_CONFIG_FIELDS["model"]),
+    "optimizer": tuple(_CONFIG_FIELDS["optimizer"]),
+    "objective": (*_CONFIG_FIELDS["objective"], "profile", "heaviside"),
     "objective.profile": ("kind", "alpha", "weights", "table"),
 }
 
@@ -148,13 +162,11 @@ def config_from_dict(raw: dict, depth: int, in_dim: int | None = None) -> Traine
     not an object, an unknown key, a missing profile key and a list of the
     wrong type raise ValueError naming the key.
     """
-    raw = _config_object(raw, "config")
-    model = _config_object(raw.get("model", {}), "model")
-    optimizer = _config_object(raw.get("optimizer", {}), "optimizer")
-    objective = _config_object(raw.get("objective", {}), "objective")
-    profile_spec = _config_object(
-        objective.get("profile", {"kind": "alpha", "alpha": 1.0}), "objective.profile"
-    )
+    sections = {"config": _config_object(raw, "config")}
+    for name in ("model", "optimizer", "objective"):
+        sections[name] = _config_object(raw.get(name, {}), name)
+    objective = sections["objective"]
+    profile_spec = _config_object(objective.get("profile", {}), "objective.profile")
     kind = profile_spec.get("kind", "alpha")
     if kind == "alpha":
         profile = RelevanceProfile.alpha(float(profile_spec.get("alpha", 1.0)))
@@ -174,29 +186,17 @@ def config_from_dict(raw: dict, depth: int, in_dim: int | None = None) -> Traine
         profile = RelevanceProfile.fine_only(depth)
     else:
         raise ValueError(f"unknown relevance profile kind {kind!r}")
-    heaviside = SmoothHeavisideParams(**objective.get("heaviside", {}))
-    return TrainerConfig(
-        model_kind=model.get("kind", "linear"),
-        dim=int(model.get("dim", 8)),
-        in_dim=int(model["in_dim"]) if "in_dim" in model else in_dim,
-        optimizer_kind=optimizer.get("kind", "adam"),
-        momentum=float(optimizer.get("momentum", 0.0)),
-        beta1=float(optimizer.get("beta1", 0.9)),
-        beta2=float(optimizer.get("beta2", 0.999)),
-        eps=float(optimizer.get("eps", 1e-8)),
-        lr0=float(raw.get("lr0", 0.01)),
-        epochs=int(raw.get("epochs", 20)),
-        batch_size=int(raw.get("batch_size", 64)),
-        m_per_class=int(raw.get("m_per_class", 4)),
-        warmup_epochs=int(raw.get("warmup_epochs", 0)),
-        seed=int(raw.get("seed", 0)),
-        lam=float(objective.get("lambda", 0.1)),
-        sigma=float(objective.get("sigma", 0.05)),
-        profile=profile,
-        heaviside=heaviside,
-        eval_every=int(raw.get("eval_every", 1)),
-        recall_ks=tuple(int(k) for k in _config_list(raw.get("recall_ks", [1, 4]), "recall_ks")),
-    )
+    fields = {
+        "in_dim": in_dim,
+        "profile": profile,
+        "heaviside": SmoothHeavisideParams(**objective.get("heaviside", {})),
+    }
+    for name, plain in _CONFIG_FIELDS.items():
+        for key, (attr, convert) in plain.items():
+            if key in sections[name]:
+                value = sections[name][key]
+                fields[attr] = value if convert is None else convert(value)
+    return TrainerConfig(**fields)
 
 
 # --- models -------------------------------------------------------------------

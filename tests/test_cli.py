@@ -174,12 +174,35 @@ class TestEvalCommand:
         assert code == 2
         assert "hirank eval: unknown instance id 'zz'" in capsys.readouterr().err
 
+    def test_query_among_its_candidates_is_named(self, tmp_path, capsys):
+        tax, sco = write_eval_inputs(tmp_path, scores=FIXTURE_SCORES + "q\tq\t5\n")
+        code = run(["eval", "--taxonomy", str(tax), "--scores", str(sco),
+                    "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "hirank eval: query 'q' is among its own candidates\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, taxonomy, scores, message",
+        [
+            ("--taxonomy", "q\tr/s\nc1\tr\n", FIXTURE_SCORES, "line 2: "),
+            ("--scores", FIXTURE_TAXONOMY, FIXTURE_SCORES + "q\tc1\tzap\n", "line 5: "),
+        ],
+        ids=["taxonomy", "scores"],
+    )
+    def test_parse_error_names_the_file(self, tmp_path, capsys, flag, taxonomy, scores, message):
+        tax, sco = write_eval_inputs(tmp_path, taxonomy=taxonomy, scores=scores)
+        bad = {"--taxonomy": tax, "--scores": sco}[flag]
+        code = run(["eval", "--taxonomy", str(tax), "--scores", str(sco),
+                    "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"hirank eval: {bad}: {message}")
+
     def test_blank_scores_file_is_empty_input(self, tmp_path, capsys):
         tax, sco = write_eval_inputs(tmp_path, scores="\n\n")
         code = run(["eval", "--taxonomy", str(tax), "--scores", str(sco),
                     "--out", str(tmp_path / "r.json")])
         assert code == 2
-        assert "hirank eval: no score rows" in capsys.readouterr().err
+        assert f"hirank eval: {sco}: no score rows" in capsys.readouterr().err
 
     def test_out_in_missing_directory_is_data_error(self, tmp_path, capsys):
         tax, sco = write_eval_inputs(tmp_path)
@@ -327,6 +350,34 @@ class TestTrainCommand:
         assert code == 2
         assert "hirank train: unknown instance id 'zz'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, extra, message",
+        [
+            (TAXONOMY_FILE, "x\tr\n", "line 37: path has 1 components, expected 2"),
+            (FEATURES_FILE, "x\t1,zap,3\n", "line 37: bad float in feature row for 'x'"),
+            (SPLIT_FILE, "a/b\n", "line 3: expected a bare leaf label"),
+        ],
+        ids=["taxonomy", "features", "split"],
+    )
+    def test_dataset_parse_error_names_the_file(self, tmp_path, capsys, name, extra, message):
+        data, config = write_train_inputs(tmp_path)
+        path = data / name
+        path.write_text(path.read_text() + extra)
+        code = run(["train", "--data", str(data), "--config", str(config),
+                    "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err == f"hirank train: {path}: {message}\n"
+
+    def test_config_not_json_names_the_file(self, tmp_path, capsys):
+        data, config = write_train_inputs(tmp_path)
+        config.write_text("{not json")
+        code = run(["train", "--data", str(data), "--config", str(config),
+                    "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"hirank train: {config}: Expecting property name"
+        )
+
     def test_corrupt_config(self, tmp_path, capsys):
         data, config = write_train_inputs(tmp_path)
         config.write_text("{not json")
@@ -473,6 +524,18 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "replay: {" in out
+
+    def test_every_family_prints_its_replay(self, capsys):
+        code = run(["gradcheck", "--what", "all", "--trials", "3", "--tol", "1e-15"])
+        assert code == 3
+        replays = [
+            json.loads(line[len("replay: "):])
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("replay: ")
+        ]
+        assert [replay["check"] for replay in replays] == [
+            "heaviside", "surrogate", "clustering", "cosine", "combined",
+        ]
 
     def test_bad_trials(self, capsys):
         assert run(["gradcheck", "--trials", "0"]) == 1

@@ -11,6 +11,7 @@ from hirank.dataset import (
     load_dataset,
     parse_features,
     parse_split,
+    read_file,
     read_text,
     write_dataset,
     write_text_atomic,
@@ -162,6 +163,32 @@ class TestReadText:
     def test_os_errors_pass_through(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_text(tmp_path / "missing.tsv")
+
+
+class TestReadFile:
+    def test_returns_the_parse(self, tmp_path):
+        path = tmp_path / "split.txt"
+        path.write_text("v\nw\n", encoding="utf-8")
+        assert read_file(path, parse_split) == ("v", "w")
+
+    def test_parse_error_keeps_its_class_and_names_the_file(self, tmp_path):
+        path = tmp_path / "split.txt"
+        path.write_text("v\nv\n", encoding="utf-8")
+        with pytest.raises(DuplicateInstanceError) as info:
+            read_file(path, parse_split)
+        assert str(info.value) == f"{path}: line 2: 'v' repeated"
+
+    def test_other_value_error_becomes_malformed(self, tmp_path):
+        path = tmp_path / "n.txt"
+        path.write_text("zap", encoding="utf-8")
+        with pytest.raises(MalformedRecordError, match=f"^{path}: could not convert"):
+            read_file(path, float)
+
+    def test_not_utf8_names_the_file_once(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"\xff")
+        with pytest.raises(MalformedRecordError, match=f"^{path}: not UTF-8 at byte 0$"):
+            read_file(path, parse_taxonomy)
 
 
 class TestAtomicWrite:

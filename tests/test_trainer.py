@@ -117,6 +117,10 @@ class TestConfigFromDict:
         assert cfg.heaviside.gamma == 5.0
         assert cfg.recall_ks == (1, 8)
 
+    def test_empty_config_is_the_dataclass_default(self):
+        assert config_from_dict({}, depth=3, in_dim=7) == TrainerConfig(in_dim=7)
+        assert config_from_dict({}, depth=3) == TrainerConfig()
+
     def test_defaults(self):
         cfg = config_from_dict({}, depth=2, in_dim=7)
         assert cfg.model_kind == "linear"
