@@ -177,7 +177,7 @@ def cmd_train(args) -> int:
         return DATA_EXIT
     try:
         config = trainer_mod.config_from_dict(raw, depth=ds.taxonomy.depth, in_dim=ds.dim)
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         print(f"hirank train: bad config: {exc}", file=sys.stderr)
         return USAGE_EXIT
     log = (lambda line: None) if args.quiet else print
@@ -189,9 +189,6 @@ def cmd_train(args) -> int:
     except HirankError as exc:
         print(f"hirank train: {exc}", file=sys.stderr)
         return DATA_EXIT
-    except ValueError as exc:
-        print(f"hirank train: bad config: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     try:
         trainer_mod.write_result(result, args.out)
     except OSError as exc:

@@ -15,9 +15,10 @@ in it names the file.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
@@ -121,6 +122,10 @@ def parse_features(text: str) -> tuple[tuple[str, ...], np.ndarray]:
             raise MalformedRecordError(
                 f"line {lineno}: feature row has {len(row)} values, expected {len(rows[0])}"
             )
+        if not all(map(math.isfinite, row)):
+            raise MalformedRecordError(
+                f"line {lineno}: feature row for {instance_id!r} is not finite"
+            )
         ids.append(instance_id)
         rows.append(row)
     if not ids:
@@ -203,10 +208,17 @@ def load_dataset(directory: Path) -> RetrievalDataset:
     """Load taxonomy, features and (optional) split from a dataset directory."""
     directory = Path(directory)
     taxonomy = read_file(directory / TAXONOMY_FILE, parse_taxonomy)
-    ids, features = read_file(directory / FEATURES_FILE, parse_features)
+    # each file's consistency with the ones before it is checked while it is
+    # read, so that an error there names it
+    ds = read_file(
+        directory / FEATURES_FILE, lambda text: RetrievalDataset(taxonomy, *parse_features(text))
+    )
     split_path = directory / SPLIT_FILE
-    holdout = read_file(split_path, parse_split) if split_path.exists() else ()
-    return RetrievalDataset(taxonomy, ids, features, frozenset(holdout))
+    if split_path.exists():
+        ds = read_file(
+            split_path, lambda text: replace(ds, holdout_classes=frozenset(parse_split(text)))
+        )
+    return ds
 
 
 def write_dataset(ds: RetrievalDataset, directory: Path) -> None:

@@ -96,4 +96,4 @@ class InsufficientClassesError(HirankError, ValueError):
 
 
 class NonFiniteLossError(HirankError, ArithmeticError):
-    """A training step produced a non-finite loss value."""
+    """A loss, gradient or row norm is not finite: training has diverged."""

@@ -20,6 +20,7 @@ Everything returns analytic gradients; there is no autograd anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from .errors import (
     NoPositivesError,
+    NonFiniteLossError,
     UnknownClassError,
     ZeroVectorError,
 )
@@ -49,11 +51,12 @@ class SmoothHeavisideParams:
     delta: float = 0.05
 
     def __post_init__(self):
+        # every message starts with the name of the parameter it rejects
         for name in ("gamma", "nu", "tau", "rho", "delta"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         if not 0 < self.mu < 1:
-            raise ValueError("mu must lie in (0, 1)")
+            raise ValueError(f"mu must lie in (0, 1), got {self.mu!r}")
 
     def kinks(self) -> tuple[float, ...]:
         """Score differences where either profile changes branch."""
@@ -361,10 +364,7 @@ class ProxyBank:
         return bank
 
     def renormalize(self) -> None:
-        norms = np.linalg.norm(self.vectors, axis=1, keepdims=True)
-        if np.any(norms < 1e-12):
-            raise ZeroVectorError("cannot normalize a zero proxy vector")
-        self.vectors /= norms
+        self.vectors /= _row_norms(self.vectors, "proxy vector")
 
 
 def clustering_loss(embeddings: np.ndarray, labels: np.ndarray, bank: ProxyBank) -> LossGradients:
@@ -403,12 +403,22 @@ def clustering_loss(embeddings: np.ndarray, labels: np.ndarray, bank: ProxyBank)
     )
 
 
+def _row_norms(matrix: np.ndarray, what: str) -> np.ndarray:
+    """L2 norm of each row, keeping the last axis. A row whose norm is not
+    finite (it has diverged) or is zero cannot be normalized."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(matrix, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(norms)):
+        raise NonFiniteLossError(f"{what} norm is not finite")
+    if np.any(norms < 1e-12):
+        raise ZeroVectorError(f"cannot normalize a zero {what}")
+    return norms
+
+
 def unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """L2-normalize each row; returns (normalized, norms)."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    norms = np.linalg.norm(matrix, axis=-1, keepdims=True)
-    if np.any(norms < 1e-12):
-        raise ZeroVectorError("cannot normalize a zero embedding")
+    norms = _row_norms(matrix, "embedding")
     return matrix / norms, norms
 
 

@@ -15,6 +15,7 @@ holdout eval, passes chunks of at most `_CHUNK` entries at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -409,10 +410,15 @@ def parse_scores(text: str) -> dict[str, tuple[list[str], list[float]]]:
         scores.append(score)
     if not out:
         raise EmptyInputError("no score rows")
-    if any(len(set(ids)) != len(ids) for ids, _ in out.values()):
-        # rescan to name the first row that repeats a (query, candidate) pair
+    # a sum that is not finite flags a nan or inf score (or an overflow)
+    if any(len(set(ids)) != len(ids) or not math.isfinite(sum(scores))
+           for ids, scores in out.values()):
+        # rescan to name the first row with a score that is not finite or that
+        # repeats a (query, candidate) pair
         seen: set[tuple[str, str]] = set()
-        for lineno, (query_id, candidate_id, _) in records(text, layout):
+        for lineno, (query_id, candidate_id, score_text) in records(text, layout):
+            if not math.isfinite(float(score_text)):
+                raise MalformedRecordError(f"line {lineno}: score {score_text!r} is not finite")
             if (query_id, candidate_id) in seen:
                 raise DuplicateInstanceError(
                     f"line {lineno}: candidate {candidate_id!r} repeated for query {query_id!r}"

@@ -8,6 +8,7 @@ under two different parents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -130,7 +131,7 @@ class RelevanceProfile:
     @classmethod
     def weighted_ap(cls, weights: Sequence[float]) -> "RelevanceProfile":
         w = tuple(float(x) for x in weights)
-        if not w or any(x <= 0 for x in w):
+        if not w or not all(x > 0 for x in w):  # a nan weight fails too
             raise ValueError("weights must be non-empty and positive")
         if abs(sum(w) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {sum(w)!r}")
@@ -139,10 +140,10 @@ class RelevanceProfile:
     @classmethod
     def explicit(cls, table: Mapping[int, float]) -> "RelevanceProfile":
         tab = {int(l): float(r) for l, r in table.items()}
-        if any(r < 0 for r in tab.values()):
-            raise ValueError("explicit relevance values must be non-negative")
+        if not all(0 <= r < math.inf for r in tab.values()):
+            raise ValueError("table values must be non-negative and finite")
         if tab.get(0, 0.0) != 0.0:
-            raise ValueError("level 0 must have relevance 0")
+            raise ValueError("table must map level 0 to relevance 0")
         return cls(kind="explicit", table=tab)
 
     @classmethod

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -46,157 +47,165 @@ STATE_FILE = "state.json"
 REPORT_FILE = "report.json"
 
 
+_UNIT = ("must lie in [0, 1)", lambda v: 0 <= v < 1)
+_POSITIVE = ("must be positive and finite", lambda v: 0 < v < math.inf)
+_AT_LEAST = {low: (f"must be >= {low}", lambda v, low=low: v >= low) for low in (0, 1, 2)}
+
+
+def _one_of(*names: str) -> tuple:
+    return ("must be one of " + ", ".join(map(repr, names)), lambda v: v in names)
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """A config key: its dotted JSON name, its conversion (None keeps the value),
+    its rule ("must ...", test) and the JSON type its value must have, if any."""
+
+    name: str
+    convert: Callable | None = float
+    rule: tuple | None = None
+    json_type: type | None = None
+
+    def read(self, value):
+        """`value` converted, or a ValueError naming the key."""
+        if self.json_type is not None and not isinstance(value, self.json_type):
+            article = "an object" if self.json_type is dict else "a list"
+            raise ValueError(f"{self.name} must be {article}, got {type(value).__name__}")
+        try:
+            return value if self.convert is None else self.convert(value)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ValueError(f"{self.name}: {exc}") from None
+
+    def check(self, value) -> None:
+        if self.rule is not None and not self.rule[1](value):
+            raise ValueError(f"{self.name} {self.rule[0]}, got {value!r}")
+
+
+def _key(name: str, default, convert: Callable | None = float, **kw):
+    return field(default=default, metadata={"key": ConfigKey(name, convert, **kw)})
+
+
 @dataclass(frozen=True)
 class TrainerConfig:
-    """Everything a training run depends on."""
+    """Everything a training run depends on. Each plain field declares its
+    config key; `profile` and `heaviside` are built from `_CONFIG_KEYS`."""
 
-    model_kind: str = "linear"  # "table" | "linear"
-    dim: int = 8
-    in_dim: int | None = None  # linear only; inferred from features when None
-    optimizer_kind: str = "adam"  # "sgd" | "adam"
-    momentum: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    lr0: float = 0.01
-    epochs: int = 20
-    batch_size: int = 64
-    m_per_class: int = 4
-    warmup_epochs: int = 0
-    seed: int = 0
-    lam: float = 0.1
-    sigma: float = 0.05
+    model_kind: str = _key("model.kind", "linear", None, rule=_one_of("table", "linear"))
+    dim: int = _key("model.dim", 8, int, rule=_AT_LEAST[2])
+    in_dim: int | None = _key("model.in_dim", None, lambda v: None if v is None else int(v))
+    optimizer_kind: str = _key("optimizer.kind", "adam", None, rule=_one_of("sgd", "adam"))
+    momentum: float = _key("optimizer.momentum", 0.0, rule=_UNIT)
+    beta1: float = _key("optimizer.beta1", 0.9, rule=_UNIT)
+    beta2: float = _key("optimizer.beta2", 0.999, rule=_UNIT)
+    eps: float = _key("optimizer.eps", 1e-8, rule=_POSITIVE)
+    lr0: float = _key("lr0", 0.01, rule=_POSITIVE)
+    epochs: int = _key("epochs", 20, int, rule=_AT_LEAST[0])
+    batch_size: int = _key("batch_size", 64, int, rule=_AT_LEAST[2])
+    m_per_class: int = _key("m_per_class", 4, int, rule=_AT_LEAST[1])
+    warmup_epochs: int = _key("warmup_epochs", 0, int, rule=_AT_LEAST[0])
+    seed: int = _key("seed", 0, int, rule=_AT_LEAST[0])
+    lam: float = _key("objective.lambda", 0.1, rule=("must lie in [0, 1]", lambda v: 0 <= v <= 1))
+    sigma: float = _key("objective.sigma", 0.05, rule=_POSITIVE)
     profile: RelevanceProfile = field(default_factory=RelevanceProfile.alpha)
     heaviside: SmoothHeavisideParams = field(default_factory=SmoothHeavisideParams)
-    eval_every: int = 1
-    recall_ks: tuple[int, ...] = (1, 4)
+    eval_every: int = _key("eval_every", 1, int, rule=_AT_LEAST[1])
+    recall_ks: tuple[int, ...] = _key(
+        "recall_ks", (1, 4), lambda ks: tuple(int(k) for k in ks), json_type=list,
+        rule=("must hold cutoffs >= 1", lambda ks: all(k >= 1 for k in ks)),
+    )
 
     def __post_init__(self):
-        if self.model_kind not in ("table", "linear"):
-            raise ValueError(f"unknown model kind {self.model_kind!r}")
-        if self.optimizer_kind not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer kind {self.optimizer_kind!r}")
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if self.warmup_epochs < 0:
-            raise ValueError("warmup_epochs must be >= 0")
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
-        if self.m_per_class < 1 or self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 and m_per_class >= 1")
+        for name, key in _FIELD_KEYS.items():
+            key.check(getattr(self, name))
         if self.batch_size % self.m_per_class != 0:
             raise ValueError("batch_size must be divisible by m_per_class")
-        if self.batch_size // self.m_per_class < 2:
+        if self.classes_per_batch < 2:
             raise ValueError("a batch must cover at least 2 classes")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lam must lie in [0, 1]")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if any(k < 1 for k in self.recall_ks):
-            raise ValueError("recall cutoffs must be >= 1")
 
     @property
     def classes_per_batch(self) -> int:
         return self.batch_size // self.m_per_class
 
 
-# JSON key -> (TrainerConfig field, conversion or None) of each config object's
-# plain keys; an absent key keeps the field's default, None keeps the value
-_CONFIG_FIELDS = {
-    "model": {"kind": ("model_kind", None), "dim": ("dim", int), "in_dim": ("in_dim", int)},
-    "optimizer": {
-        "kind": ("optimizer_kind", None),
-        **{key: (key, float) for key in ("momentum", "beta1", "beta2", "eps")},
-    },
-    "config": {
-        "lr0": ("lr0", float),
-        **{key: (key, int) for key in (
-            "epochs", "batch_size", "m_per_class", "warmup_epochs", "seed", "eval_every")},
-        "recall_ks": ("recall_ks", lambda ks: tuple(int(k) for k in _config_list(ks, "recall_ks"))),
-    },
-    "objective": {"lambda": ("lam", float), "sigma": ("sigma", float)},
-}
-
-# the keys of each config object, as the README schema lists them
-_CONFIG_KEYS = {
-    "config": (*_CONFIG_FIELDS["config"], "model", "optimizer", "objective"),
-    "model": tuple(_CONFIG_FIELDS["model"]),
-    "optimizer": tuple(_CONFIG_FIELDS["optimizer"]),
-    "objective": (*_CONFIG_FIELDS["objective"], "profile", "heaviside"),
-    "objective.profile": ("kind", "alpha", "weights", "table"),
-}
+_FIELD_KEYS = {f.name: f.metadata["key"] for f in fields(TrainerConfig) if "key" in f.metadata}
+# every config key by its dotted name
+_CONFIG_KEYS = {key.name: key for key in (
+    *_FIELD_KEYS.values(),
+    ConfigKey(
+        "objective.profile.kind", None, _one_of("alpha", "weighted", "explicit", "fine_only")
+    ),
+    ConfigKey("objective.profile.alpha"),
+    ConfigKey("objective.profile.weights", lambda ws: tuple(map(float, ws)), json_type=list),
+    ConfigKey("objective.profile.table", lambda t: {int(k): float(v) for k, v in t.items()},
+              json_type=dict),
+    *(ConfigKey(f"objective.heaviside.{f.name}") for f in fields(SmoothHeavisideParams)),
+)}
 
 
-def _config_object(value, name: str) -> dict:
-    """`value` checked to be an object holding only the keys listed for `name`."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be an object, got {type(value).__name__}")
-    unknown = sorted(set(value) - set(_CONFIG_KEYS[name]))
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r} in {name}")
-    return value
+def _config_values(value, name: str = "config") -> dict:
+    """The converted value of every key in config object `name` (the document
+    is "config"), by dotted name; an undeclared key raises a ValueError."""
+    values = {}
+    for key, v in ConfigKey(name, None, json_type=dict).read(value).items():
+        dotted = key if name == "config" else f"{name}.{key}"
+        # a key holding a dot is unknown, not a path to a nested key
+        if "." in key or not any(k == dotted or k.startswith(dotted + ".") for k in _CONFIG_KEYS):
+            raise ValueError(f"unknown key {key!r} in {name}")
+        if dotted in _CONFIG_KEYS:
+            values[dotted] = _CONFIG_KEYS[dotted].read(v)
+        else:
+            values.update(_config_values(v, dotted))
+    return values
 
 
-def _config_key(section: dict, key: str, name: str):
-    """`section[key]`, or a ValueError naming the missing key."""
-    if key not in section:
-        raise ValueError(f"missing key {key!r} in {name}")
-    return section[key]
+def _build(name: str, make: Callable, *args, **kwargs):
+    """`make(*args, **kwargs)`; its ValueError, which starts with a key of
+    config object `name`, is raised again naming that key in full."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{name}.{exc}") from None
 
 
-def _config_list(value, name: str):
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a list, got {type(value).__name__}")
-    return value
+def _profile(spec: dict, depth: int) -> RelevanceProfile:
+    kind = spec.get("kind", "alpha")
+    _CONFIG_KEYS["objective.profile.kind"].check(kind)
+    if kind == "fine_only":
+        return RelevanceProfile.fine_only(depth)
+    make, arg = {
+        "alpha": (RelevanceProfile.alpha, "alpha"),
+        "weighted": (RelevanceProfile.weighted_ap, "weights"),
+        "explicit": (RelevanceProfile.explicit, "table"),
+    }[kind]
+    if kind != "alpha" and arg not in spec:
+        raise ValueError(f"missing key {arg!r} in objective.profile")
+    args = [spec[arg]] if arg in spec else []  # alpha left out keeps its default
+    profile = _build("objective.profile", make, *args)
+    profile.level_table(np.zeros(depth + 1), skip_empty=True)  # checks the weight count
+    return profile
 
 
 def config_from_dict(raw: dict, depth: int, in_dim: int | None = None) -> TrainerConfig:
-    """Build a TrainerConfig from a plain JSON-style dict.
-
-    `depth` resolves level-dependent profiles; `in_dim` fills the linear
-    model's input width when the config leaves it out. A section that is
-    not an object, an unknown key, a missing profile key and a list of the
-    wrong type raise ValueError naming the key.
+    """Build a TrainerConfig from a plain JSON-style dict; every error is a
+    ValueError naming its key. `depth` resolves level-dependent profiles and
+    must match a weighted profile's weight count. `in_dim`, the dataset's
+    feature width, fills in the linear model's input width or must equal it.
     """
-    sections = {"config": _config_object(raw, "config")}
-    for name in ("model", "optimizer", "objective"):
-        sections[name] = _config_object(raw.get(name, {}), name)
-    objective = sections["objective"]
-    profile_spec = _config_object(objective.get("profile", {}), "objective.profile")
-    kind = profile_spec.get("kind", "alpha")
-    if kind == "alpha":
-        profile = RelevanceProfile.alpha(float(profile_spec.get("alpha", 1.0)))
-    elif kind == "weighted":
-        weights = _config_key(profile_spec, "weights", "objective.profile")
-        profile = RelevanceProfile.weighted_ap(
-            tuple(_config_list(weights, "objective.profile.weights"))
-        )
-    elif kind == "explicit":
-        table = _config_key(profile_spec, "table", "objective.profile")
-        if not isinstance(table, dict):
-            raise ValueError(
-                f"objective.profile.table must be an object, got {type(table).__name__}"
-            )
-        profile = RelevanceProfile.explicit({int(k): float(v) for k, v in table.items()})
-    elif kind == "fine_only":
-        profile = RelevanceProfile.fine_only(depth)
-    else:
-        raise ValueError(f"unknown relevance profile kind {kind!r}")
-    fields = {
-        "in_dim": in_dim,
-        "profile": profile,
-        "heaviside": SmoothHeavisideParams(**objective.get("heaviside", {})),
-    }
-    for name, plain in _CONFIG_FIELDS.items():
-        for key, (attr, convert) in plain.items():
-            if key in sections[name]:
-                value = sections[name][key]
-                fields[attr] = value if convert is None else convert(value)
-    return TrainerConfig(**fields)
+    given = _config_values(raw)
+
+    def inside(obj: str) -> dict:
+        return {name[len(obj) + 1:]: v for name, v in given.items() if name.startswith(obj + ".")}
+
+    values = {f: given[key.name] for f, key in _FIELD_KEYS.items() if key.name in given}
+    values["profile"] = _profile(inside("objective.profile"), depth)
+    values["heaviside"] = _build("objective.heaviside", SmoothHeavisideParams,
+                                 **inside("objective.heaviside"))
+    if values.get("in_dim") is None:
+        values["in_dim"] = in_dim
+    config = TrainerConfig(**values)
+    if config.model_kind == "linear" and in_dim is not None and config.in_dim != in_dim:
+        raise ValueError(f"model.in_dim must equal the feature width {in_dim}, got {config.in_dim}")
+    return config
 
 
 # --- models -------------------------------------------------------------------
@@ -407,30 +416,47 @@ def sample_batch(state: TrainerState, ds: RetrievalDataset) -> list[str]:
     return [ds.ids[r] for r in np.concatenate(rows)]
 
 
+@contextmanager
+def _diverged(where: str):
+    """Run a training step or evaluation: a NonFiniteLossError raised in it
+    names `where`. numpy's overflow warnings are off, because parameters that
+    overflow end in a loss, gradient or row norm that is checked."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except NonFiniteLossError as exc:
+        raise NonFiniteLossError(f"{where}: {exc}") from None
+
+
 def train_step(state: TrainerState, ds: RetrievalDataset, batch_ids: Sequence[str]) -> LossGradients:
-    """One gradient step on the batch; mutates state in place."""
+    """One gradient step on the batch; mutates state in place.
+
+    A loss, gradient or row norm that is not finite raises NonFiniteLossError
+    naming the step.
+    """
     config = state.config
     rows = np.array([ds.row_of[i] for i in batch_ids], dtype=np.int64)
     lr = state.learning_rate()
-    emb = state.model.embed(rows)
-    levels = pairwise_levels(state.codes[rows])
-    rel = relevance_rows(levels, config.profile, ds.taxonomy.depth)
-    out = combined_loss(
-        emb, rel, state.labels[rows], state.bank, lam=config.lam, params=config.heaviside
-    )
-    if not math.isfinite(out.value):
-        raise NonFiniteLossError(f"step {state.step}: loss became {out.value}")
-    for name, grad in (("embedding", out.d_embedding), ("proxy", out.d_proxies)):
-        if not np.all(np.isfinite(grad)):
-            raise NonFiniteLossError(f"step {state.step}: the {name} gradient is not finite")
-    freeze_model = config.model_kind == "table" and state.in_warmup
-    if not freeze_model:
-        state.optimizer.update(
-            "model", state.model.params, state.model.gradient(rows, out.d_embedding), lr
+    with _diverged(f"step {state.step}"):
+        emb = state.model.embed(rows)
+        levels = pairwise_levels(state.codes[rows])
+        rel = relevance_rows(levels, config.profile, ds.taxonomy.depth)
+        out = combined_loss(
+            emb, rel, state.labels[rows], state.bank, lam=config.lam, params=config.heaviside
         )
-    if config.lam > 0:
-        state.optimizer.update("proxies", state.bank.vectors, out.d_proxies, lr)
-        state.bank.renormalize()
+        if not math.isfinite(out.value):
+            raise NonFiniteLossError(f"loss became {out.value}")
+        for name, grad in (("embedding", out.d_embedding), ("proxy", out.d_proxies)):
+            if not np.all(np.isfinite(grad)):
+                raise NonFiniteLossError(f"the {name} gradient is not finite")
+        freeze_model = config.model_kind == "table" and state.in_warmup
+        if not freeze_model:
+            state.optimizer.update(
+                "model", state.model.params, state.model.gradient(rows, out.d_embedding), lr
+            )
+        if config.lam > 0:
+            state.optimizer.update("proxies", state.bank.vectors, out.d_proxies, lr)
+            state.bank.renormalize()
     state.step += 1
     return out
 
@@ -480,7 +506,8 @@ def fit(
     report: MetricsReport | None = None
 
     def record_eval(loss_avgs: dict | None) -> MetricsReport:
-        rep = evaluate_state(state, ds)
+        with _diverged(f"evaluation at step {state.step}"):
+            rep = evaluate_state(state, ds)
         record: dict = {"epoch": state.epoch, "step": state.step, "lr": state.learning_rate()}
         record.update(loss_avgs or {})
         record.update(rep.metric_items())

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from hirank import trainer as trainer_mod
 from hirank.cli import main, parse_relevance_flag
 from hirank.dataset import FEATURES_FILE, SPLIT_FILE, TAXONOMY_FILE
 from hirank.trainer import EMBEDDINGS_FILE, HISTORY_FILE, REPORT_FILE, STATE_FILE
@@ -197,6 +199,16 @@ class TestEvalCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"hirank eval: {bad}: {message}")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_score_names_file_and_line(self, tmp_path, capsys, value):
+        tax, sco = write_eval_inputs(tmp_path, scores=FIXTURE_SCORES + f"q\tc1\t{value}\n")
+        code = run(["eval", "--taxonomy", str(tax), "--scores", str(sco),
+                    "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"hirank eval: {sco}: line 5: score '{value}' is not finite\n"
+        )
+
     def test_blank_scores_file_is_empty_input(self, tmp_path, capsys):
         tax, sco = write_eval_inputs(tmp_path, scores="\n\n")
         code = run(["eval", "--taxonomy", str(tax), "--scores", str(sco),
@@ -262,7 +274,145 @@ def write_train_inputs(tmp_path, config_over=None):
     return data, config_path
 
 
+def nested(dotted, value):
+    """The config document that sets the key `dotted` to `value`."""
+    *objects, key = dotted.split(".")
+    doc = {key: value}
+    for name in reversed(objects):
+        doc = {name: doc}
+    return doc
+
+
+def profile(**keys):
+    return {"objective": {"profile": keys}}
+
+
+NOT_INT = "invalid literal for int() with base 10: 'x'"
+NOT_FLOAT = "could not convert string to float: 'x'"
+HEAVISIDE = ("gamma", "nu", "mu", "tau", "rho", "delta")
+
+# (dotted key, config document, message after "bad config: "); documents
+# replace the top-level entries of the base config they name
+WRONG_TYPE = [
+    ("model.kind", nested("model.kind", 3), "model.kind must be one of 'table', 'linear', got 3"),
+    *[(key, nested(key, "x"), f"{key}: {NOT_INT}") for key in (
+        "model.dim", "model.in_dim", "epochs", "batch_size", "m_per_class", "warmup_epochs",
+        "seed", "eval_every",
+    )],
+    ("optimizer.kind", nested("optimizer.kind", 3),
+     "optimizer.kind must be one of 'sgd', 'adam', got 3"),
+    *[(key, nested(key, "x"), f"{key}: {NOT_FLOAT}") for key in (
+        "optimizer.momentum", "optimizer.beta1", "optimizer.beta2", "optimizer.eps", "lr0",
+        "objective.lambda", "objective.sigma", "objective.profile.alpha",
+        *(f"objective.heaviside.{name}" for name in HEAVISIDE),
+    )],
+    ("lr0", {"lr0": None},
+     "lr0: float() argument must be a string or a real number, not 'NoneType'"),
+    ("recall_ks", {"recall_ks": ["x"]}, f"recall_ks: {NOT_INT}"),
+    ("objective.profile.kind", profile(kind=3),
+     "objective.profile.kind must be one of 'alpha', 'weighted', 'explicit', 'fine_only', got 3"),
+    ("objective.profile.weights", profile(kind="weighted", weights="x"),
+     "objective.profile.weights must be a list, got str"),
+    ("objective.profile.weights", profile(kind="weighted", weights=["x"]),
+     f"objective.profile.weights: {NOT_FLOAT}"),
+    ("objective.profile.table", profile(kind="explicit", table={"x": 1}),
+     f"objective.profile.table: {NOT_INT}"),
+]
+
+OUT_OF_RANGE = [
+    ("model.kind", nested("model.kind", "resnet"),
+     "model.kind must be one of 'table', 'linear', got 'resnet'"),
+    ("model.dim", nested("model.dim", 1), "model.dim must be >= 2, got 1"),
+    ("model.in_dim", nested("model.in_dim", 9),
+     "model.in_dim must equal the feature width 5, got 9"),
+    ("optimizer.kind", nested("optimizer.kind", "lion"),
+     "optimizer.kind must be one of 'sgd', 'adam', got 'lion'"),
+    ("optimizer.momentum", nested("optimizer.momentum", 1.0),
+     "optimizer.momentum must lie in [0, 1), got 1.0"),
+    ("optimizer.beta1", nested("optimizer.beta1", 1.0),
+     "optimizer.beta1 must lie in [0, 1), got 1.0"),
+    ("optimizer.beta2", nested("optimizer.beta2", 1.5),
+     "optimizer.beta2 must lie in [0, 1), got 1.5"),
+    ("optimizer.eps", nested("optimizer.eps", 0),
+     "optimizer.eps must be positive and finite, got 0.0"),
+    ("lr0", {"lr0": 0}, "lr0 must be positive and finite, got 0.0"),
+    ("lr0", {"lr0": math.nan}, "lr0 must be positive and finite, got nan"),
+    ("lr0", {"lr0": math.inf}, "lr0 must be positive and finite, got inf"),
+    ("epochs", {"epochs": -1}, "epochs must be >= 0, got -1"),
+    ("epochs", {"epochs": math.inf}, "epochs: cannot convert float infinity to integer"),
+    ("batch_size", {"batch_size": 1}, "batch_size must be >= 2, got 1"),
+    ("m_per_class", {"m_per_class": 0}, "m_per_class must be >= 1, got 0"),
+    ("warmup_epochs", {"warmup_epochs": -1}, "warmup_epochs must be >= 0, got -1"),
+    ("seed", {"seed": -1}, "seed must be >= 0, got -1"),
+    ("eval_every", {"eval_every": 0}, "eval_every must be >= 1, got 0"),
+    ("recall_ks", {"recall_ks": [1, 0]}, "recall_ks must hold cutoffs >= 1, got (1, 0)"),
+    ("objective.lambda", nested("objective.lambda", 1.5),
+     "objective.lambda must lie in [0, 1], got 1.5"),
+    ("objective.sigma", nested("objective.sigma", 0),
+     "objective.sigma must be positive and finite, got 0.0"),
+    ("objective.sigma", nested("objective.sigma", math.nan),
+     "objective.sigma must be positive and finite, got nan"),
+    ("objective.profile.kind", profile(kind="mystery"),
+     "objective.profile.kind must be one of 'alpha', 'weighted', 'explicit', 'fine_only', "
+     "got 'mystery'"),
+    ("objective.profile.alpha", profile(alpha=-1),
+     "objective.profile.alpha must be positive, got -1.0"),
+    ("objective.profile.weights", profile(kind="weighted", weights=[]),
+     "objective.profile.weights must be non-empty and positive"),
+    ("objective.profile.weights", profile(kind="weighted", weights=[0.5, 0.6]),
+     "objective.profile.weights must sum to 1, got 1.1"),
+    ("objective.profile.weights",
+     {"epochs": 0, **profile(kind="weighted", weights=[0.2, 0.3, 0.5])},
+     "profile has 3 weights for depth 2"),
+    ("objective.profile.table", profile(kind="explicit", table={"0": 1}),
+     "objective.profile.table must map level 0 to relevance 0"),
+    ("objective.profile.weights", profile(kind="weighted", weights=[math.nan, math.nan]),
+     "objective.profile.weights must be non-empty and positive"),
+    ("objective.profile.table", profile(kind="explicit", table={"1": -1}),
+     "objective.profile.table values must be non-negative and finite"),
+    ("objective.profile.table", profile(kind="explicit", table={"1": math.nan}),
+     "objective.profile.table values must be non-negative and finite"),
+    *[(f"objective.heaviside.{name}", nested(f"objective.heaviside.{name}", 0),
+       f"objective.heaviside.{name} must " + ("lie in (0, 1)" if name == "mu" else
+                                              "be positive and finite") + ", got 0.0")
+      for name in HEAVISIDE],
+    ("objective.heaviside.mu", nested("objective.heaviside.mu", 1),
+     "objective.heaviside.mu must lie in (0, 1), got 1.0"),
+    ("objective.heaviside.tau", nested("objective.heaviside.tau", math.inf),
+     "objective.heaviside.tau must be positive and finite, got inf"),
+    ("objective.heaviside.rho", nested("objective.heaviside.rho", math.nan),
+     "objective.heaviside.rho must be positive and finite, got nan"),
+    ("objective.heaviside", nested("objective.heaviside.taux", 1),
+     "unknown key 'taux' in objective.heaviside"),
+    ("objective.heaviside", nested("objective.heaviside", [1]),
+     "objective.heaviside must be an object, got list"),
+]
+
+
+def test_config_tables_cover_every_key():
+    declared = set(trainer_mod._CONFIG_KEYS)
+    assert {key for key, _, _ in WRONG_TYPE} == declared
+    ruled = {name for name, key in trainer_mod._CONFIG_KEYS.items() if key.rule is not None}
+    assert ruled <= {key for key, _, _ in OUT_OF_RANGE}
+
+
 class TestTrainCommand:
+    @pytest.mark.parametrize(
+        "document, message",
+        [row[1:] for row in WRONG_TYPE + OUT_OF_RANGE],
+        ids=[f"{kind}-{row[0]}-{i}"
+             for kind, rows in (("type", WRONG_TYPE), ("range", OUT_OF_RANGE))
+             for i, row in enumerate(rows)],
+    )
+    def test_bad_config_value_names_its_key(self, tmp_path, capsys, document, message):
+        data, config = write_train_inputs(tmp_path, document)
+        out = tmp_path / "run"
+        code = run(["train", "--data", str(data), "--config", str(config),
+                    "--out", str(out), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == f"hirank train: bad config: {message}\n"
+        assert not out.exists()
+
     def test_zero_epochs(self, tmp_path, capsys):
         data, config = write_train_inputs(tmp_path, {"epochs": 0})
         out = tmp_path / "run"
@@ -302,6 +452,57 @@ class TestTrainCommand:
                     "--out", str(tmp_path / "run"), "--quiet"])
         assert code == 1
         assert "bad config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            ({"lr0": 1e308}, "step 0: proxy vector norm is not finite"),
+            ({"lr0": 1e180, "optimizer": {"kind": "sgd"}},
+             "step 0: proxy vector norm is not finite"),
+            ({"lr0": 1e200}, "step 0: proxy vector norm is not finite"),
+            # without the clustering term the proxies stay put and the embeddings overflow
+            ({"lr0": 1e200, "objective": {"lambda": 0.0}}, "step 1: embedding norm is not finite"),
+            # one step per epoch: the holdout eval after it is the first to see the overflow
+            ({"lr0": 1e200, "objective": {"lambda": 0.0}, "epochs": 1, "batch_size": 24,
+              "m_per_class": 4},
+             "evaluation at step 1: embedding norm is not finite"),
+        ],
+        ids=["adam_1e308", "sgd_1e180", "adam_1e200", "no_proxies", "at_evaluation"],
+    )
+    def test_diverged_training_names_its_step(self, tmp_path, capsys, over, message):
+        data = tmp_path / "data"
+        assert run(["synth", "--out", str(data), "--branching", "2,2,2", "--per-leaf", "4",
+                    "--dim", "4", "--seed", "0"]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "model": {"dim": 4}, "optimizer": {"kind": "adam"}, "epochs": 3, "batch_size": 8,
+            "m_per_class": 2, **over,
+        }))
+        out = tmp_path / "run"
+        code = run(["train", "--data", str(data), "--config", str(config),
+                    "--out", str(out), "--quiet"])
+        assert code == 3
+        assert capsys.readouterr().err == f"hirank train: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            (FEATURES_FILE, lambda text: text.split("\n", 1)[1], "instance(s) have no feature row"),
+            (SPLIT_FILE, lambda text: text + "nowhere\n",
+             "split names unknown leaf label 'nowhere'"),
+        ],
+        ids=["missing_feature_row", "unknown_split_label"],
+    )
+    def test_dataset_consistency_error_names_the_file(self, tmp_path, capsys, name, edit, message):
+        data, config = write_train_inputs(tmp_path)
+        path = data / name
+        path.write_text(edit(path.read_text()))
+        code = run(["train", "--data", str(data), "--config", str(config),
+                    "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"hirank train: {path}: ") and message in err
 
     def test_missing_data_dir(self, tmp_path, capsys):
         _, config = write_train_inputs(tmp_path)
@@ -348,7 +549,7 @@ class TestTrainCommand:
         code = run(["train", "--data", str(data), "--config", str(config),
                     "--out", str(tmp_path / "run")])
         assert code == 2
-        assert "hirank train: unknown instance id 'zz'" in capsys.readouterr().err
+        assert f"hirank train: {features}: unknown instance id 'zz'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name, extra, message",
@@ -415,7 +616,9 @@ class TestTrainCommand:
         code = run(["train", "--data", str(data), "--config", str(config),
                     "--out", str(tmp_path / "run"), "--quiet"])
         assert code == 2
-        assert "hirank train: features must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"hirank train: {features}: line 1: feature row for {instance_id!r} is not finite\n"
+        )
 
     @pytest.mark.parametrize(
         "document, message",
@@ -427,6 +630,7 @@ class TestTrainCommand:
                 "objective.profile.table must be an object, got list",
             ),
             ({"epoch": 1}, "unknown key 'epoch' in config"),
+            ({"model.dim": 4}, "unknown key 'model.dim' in config"),
             ({"model": {"kind": "linear", "dims": 4}}, "unknown key 'dims' in model"),
             ({"optimizer": {"kind": "sgd", "lr": 0.1}}, "unknown key 'lr' in optimizer"),
             ({"objective": {"lamda": 0.1}}, "unknown key 'lamda' in objective"),
@@ -446,6 +650,7 @@ class TestTrainCommand:
         ],
         ids=[
             "document_not_object", "section_not_object", "table_not_object", "top_level_typo",
+            "dotted_key",
             "model_typo", "optimizer_typo", "objective_typo", "profile_typo",
             "weights_missing", "table_missing", "recall_ks_not_list",
         ],

@@ -19,6 +19,7 @@ from hirank.dataset import (
 from hirank.errors import (
     DuplicateInstanceError,
     EmptyInputError,
+    HirankError,
     MalformedRecordError,
     UnknownInstanceError,
 )
@@ -109,6 +110,11 @@ class TestParseFeatures:
     def test_duplicate_id(self):
         with pytest.raises(DuplicateInstanceError, match="line 2"):
             parse_features("a\t1.0\na\t2.0\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_value_names_line(self, value):
+        with pytest.raises(MalformedRecordError, match="line 2: feature row for 'b' is not finite"):
+            parse_features(f"a\t1.0,2.0\nb\t3.0,{value}\n")
 
     def test_empty(self):
         with pytest.raises(EmptyInputError):
@@ -228,6 +234,24 @@ class TestDatasetIo:
         back = load_dataset(tmp_path)
         assert back.holdout_classes == frozenset()
         assert back.train_ids == back.ids
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            (FEATURES_FILE, "a1\t0,1\na2\t0,1\nb1\t0,1\nb2\t0,1\nzz\t0,1\n",
+             "unknown instance id 'zz'"),
+            (FEATURES_FILE, "a1\t0,1\na2\t0,1\nb1\t0,1\n", "have no feature row, e.g. 'b2'"),
+            (SPLIT_FILE, "v\nq\n", "split names unknown leaf label 'q'"),
+        ],
+        ids=["unknown_feature_id", "missing_feature_row", "unknown_split_label"],
+    )
+    def test_consistency_error_names_its_file(self, tmp_path, name, text, message):
+        write_dataset(small_dataset(), tmp_path)
+        (tmp_path / name).write_text(text)
+        with pytest.raises(HirankError) as info:
+            load_dataset(tmp_path)
+        assert str(info.value).startswith(f"{tmp_path / name}: ")
+        assert message in str(info.value)
 
     def test_missing_features_file(self, tmp_path):
         (tmp_path / TAXONOMY_FILE).write_text(TAXONOMY)

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import make_ranking, oracle_binary_ap
-from hirank.errors import NoPositivesError, UnknownClassError, ZeroVectorError
+from hirank.errors import (
+    NonFiniteLossError,
+    NoPositivesError,
+    UnknownClassError,
+    ZeroVectorError,
+)
 from hirank.gradcheck import numeric_gradient, run_checks
 from hirank.losses import (
     LossGradients,
@@ -42,6 +47,12 @@ class TestSmoothHeavisideParams:
             SmoothHeavisideParams(mu=1.5)
         with pytest.raises(ValueError):
             SmoothHeavisideParams(tau=0.0)
+
+    @pytest.mark.parametrize("name", ["gamma", "nu", "mu", "tau", "rho", "delta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            SmoothHeavisideParams(**{name: value})
 
 
 class TestHeavisideLower:
@@ -205,6 +216,12 @@ class TestProxyBank:
         with pytest.raises(ZeroVectorError):
             bank.renormalize()
 
+    def test_vector_of_nonfinite_norm_rejected(self):
+        # the squares overflow, so the norm is inf and every row would become 0
+        bank = ProxyBank(("a", "b"), np.array([[1.0, 0.0], [1e200, 1e200]]))
+        with pytest.raises(NonFiniteLossError, match="proxy vector norm is not finite"):
+            bank.renormalize()
+
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
             ProxyBank(("a",), np.eye(1), sigma=0.0)
@@ -264,6 +281,12 @@ class TestCosineScores:
     def test_zero_row_rejected(self):
         with pytest.raises(ZeroVectorError):
             cosine_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("row", [[1e200, 1e200], [np.inf, 0.0], [np.nan, 1.0]],
+                             ids=["overflow", "inf", "nan"])
+    def test_row_of_nonfinite_norm_rejected(self, row):
+        with pytest.raises(NonFiniteLossError, match="embedding norm is not finite"):
+            unit_rows(np.array([[1.0, 0.0], row]))
 
     def test_grad_op_matches_finite_differences(self, rng):
         # row 1 queries the others; as in combined_loss, a gradient D on the

@@ -435,6 +435,19 @@ class TestParseScores:
         with pytest.raises(MalformedRecordError, match="line 1"):
             parse_scores("q\ta\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_nonfinite_score_names_line(self, value):
+        with pytest.raises(MalformedRecordError, match=f"line 3: score '{value}' is not finite"):
+            parse_scores(f"q\ta\t1\nr\tb\t2\nq\tc\t{value}\n")
+
+    def test_nonfinite_score_before_a_repeat_is_named_first(self):
+        with pytest.raises(MalformedRecordError, match="line 2: score 'nan'"):
+            parse_scores("q\ta\t1\nq\tb\tnan\nq\ta\t2\n")
+
+    def test_overflowing_sum_of_finite_scores_parses(self):
+        out = parse_scores("q\ta\t1e308\nq\tb\t1e308\n")
+        assert out["q"] == (["a", "b"], [1e308, 1e308])
+
     def test_blank_lines_only_is_empty(self):
         with pytest.raises(EmptyInputError, match="no score rows"):
             parse_scores("\n\r\n\n")

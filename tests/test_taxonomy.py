@@ -246,6 +246,17 @@ class TestRelevanceProfiles:
         with pytest.raises(ValueError):
             RelevanceProfile.explicit({1: -0.5})
 
+    @pytest.mark.parametrize(
+        "value, weights_message",
+        [(float("nan"), "weights must be non-empty and positive"),
+         (float("inf"), "weights must sum to 1, got inf")],
+    )
+    def test_nonfinite_weights_and_table_values_rejected(self, value, weights_message):
+        with pytest.raises(ValueError, match=f"^{weights_message}"):
+            RelevanceProfile.weighted_ap((value, 0.5))
+        with pytest.raises(ValueError, match="^table values must be non-negative and finite"):
+            RelevanceProfile.explicit({1: value})
+
     def test_assignment_is_order_independent(self, rng):
         depth = 3
         levels = np.array([3, 1, 0, 2, 2, 0, 1])

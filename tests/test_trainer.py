@@ -7,7 +7,7 @@ import pytest
 from conftest import weighted_relevance
 from hirank.dataset import RetrievalDataset
 from hirank.errors import InsufficientClassesError, NonFiniteLossError
-from hirank.losses import LossGradients
+from hirank.losses import LossGradients, SmoothHeavisideParams
 from hirank.synthgen import SynthSpec, generate
 from hirank.taxonomy import RelevanceProfile, parse_taxonomy
 from hirank.trainer import (
@@ -84,6 +84,22 @@ class TestTrainerConfig:
         with pytest.raises(ValueError):
             toy_config(recall_ks=(0,))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("beta1", 1.0, "optimizer.beta1 must lie in [0, 1), got 1.0"),
+            ("beta2", 1.5, "optimizer.beta2 must lie in [0, 1), got 1.5"),
+            ("eps", 0.0, "optimizer.eps must be positive and finite, got 0.0"),
+            ("lr0", math.inf, "lr0 must be positive and finite, got inf"),
+            ("sigma", math.nan, "objective.sigma must be positive and finite, got nan"),
+            ("seed", -1, "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_rules_name_the_key(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            toy_config(**{field: value})
+        assert str(info.value) == message
+
 
 class TestConfigFromDict:
     def test_full_document(self):
@@ -148,6 +164,27 @@ class TestConfigFromDict:
     def test_unknown_profile_kind(self):
         with pytest.raises(ValueError):
             config_from_dict({"objective": {"profile": {"kind": "mystery"}}}, depth=2)
+
+    def test_in_dim_null_or_absent_is_the_feature_width(self):
+        assert config_from_dict({"model": {"in_dim": None}}, depth=2, in_dim=7).in_dim == 7
+        assert config_from_dict({"model": {"in_dim": 7}}, depth=2, in_dim=7).in_dim == 7
+
+    def test_in_dim_must_match_the_feature_width(self):
+        with pytest.raises(ValueError, match="model.in_dim must equal the feature width 7, got 9"):
+            config_from_dict({"model": {"in_dim": 9}}, depth=2, in_dim=7)
+        # a table model reads no features
+        config_from_dict({"model": {"kind": "table", "in_dim": 9}}, depth=2, in_dim=7)
+
+    def test_weight_count_is_checked_against_depth(self):
+        profile = {"kind": "weighted", "weights": [0.5, 0.5]}
+        with pytest.raises(ValueError, match="profile has 2 weights for depth 3"):
+            config_from_dict({"epochs": 0, "objective": {"profile": profile}}, depth=3)
+
+    def test_heaviside_keys_are_its_fields(self):
+        cfg = config_from_dict({"objective": {"heaviside": {"tau": 0.02, "mu": 0.25}}}, depth=2)
+        assert cfg.heaviside == SmoothHeavisideParams(tau=0.02, mu=0.25)
+        with pytest.raises(ValueError, match="unknown key 'taux' in objective.heaviside"):
+            config_from_dict({"objective": {"heaviside": {"taux": 0.02}}}, depth=2)
 
 
 class TestPairwiseStructure:
