@@ -2,8 +2,9 @@
 
 The package splits into:
 
-- taxonomy: label hierarchies, relevance partitions and relevance profiles
-- metrics: exact graded ranking metrics over scored candidate lists
+- taxonomy: label hierarchies, ancestor levels and relevance profiles
+- metrics: exact graded ranking metrics over scored candidate lists, and the
+  scores-file reader
 - losses: smooth surrogate objectives with analytic gradients
 - dataset / synthgen: on-disk formats and synthetic data
 - trainer: class-balanced batch training of embedding models
@@ -13,11 +14,9 @@ The package splits into:
 
 from .errors import HirankError
 from .taxonomy import (
-    RelevancePartition,
     RelevanceProfile,
     Taxonomy,
     assign_relevance,
-    build_partition,
     parse_taxonomy,
 )
 from .metrics import (
@@ -59,10 +58,8 @@ from .trainer import (
 __all__ = [
     "HirankError",
     "Taxonomy",
-    "RelevancePartition",
     "RelevanceProfile",
     "parse_taxonomy",
-    "build_partition",
     "assign_relevance",
     "ScoredRanking",
     "MetricsReport",

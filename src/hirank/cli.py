@@ -20,9 +20,9 @@ from . import dataset as ds_io
 from . import trainer as trainer_mod
 from .errors import HirankError, NonFiniteLossError
 from .gradcheck import CHECKS, DEFAULT_EPS, DEFAULT_TOL, run_checks
-from .metrics import ScoredRanking, evaluate_dataset, parse_scores
+from .metrics import evaluate_columns, read_scores
 from .synthgen import SynthSpec, generate
-from .taxonomy import RelevanceProfile, assign_relevance, build_partition, parse_taxonomy
+from .taxonomy import RelevanceProfile, assign_relevance, parse_taxonomy
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -141,13 +141,11 @@ def cmd_eval(args) -> int:
         return USAGE_EXIT
     try:
         taxonomy = ds_io.read_file(args.taxonomy, parse_taxonomy)
-        by_query = ds_io.read_file(args.scores, parse_scores)
-        rankings = []
-        for query_id, (candidates, scores) in by_query.items():
-            part = build_partition(taxonomy, query_id, candidates)
-            part = assign_relevance(part, profile)
-            rankings.append(ScoredRanking.from_partition(part, scores))
-        report = evaluate_dataset(rankings, ks=ks, depth=taxonomy.depth)
+        table = ds_io.read_file(args.scores, lambda text: read_scores(text, taxonomy))
+        relevance, levels = assign_relevance(table.levels, table.query, profile, taxonomy.depth)
+        # ties break by id, and taxonomy rows sort as the ids do
+        columns = (table.candidate, table.score, relevance, levels)
+        report = evaluate_columns(table.query_ids, table.query, columns, ks, taxonomy.depth)
     except (HirankError, ValueError) as exc:
         print(f"hirank eval: {exc}", file=sys.stderr)
         return DATA_EXIT

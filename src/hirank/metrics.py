@@ -1,21 +1,26 @@
-"""Exact evaluation of graded ranking metrics.
+"""Exact evaluation of graded ranking metrics, and the scores-file reader.
 
-All metrics operate on a ScoredRanking: one query's candidates with cosine
-(or any) scores, a per-candidate relevance value and the common-ancestor
-level it derives from. Rank comparisons use strict score inequality, so tied
-scores produce no inversion in either direction; operations that need a
-concrete list order (cutoff metrics, set intersections) sort by descending
-score and break ties by ascending candidate id.
+The single-list metrics operate on a ScoredRanking: one query's candidates
+with cosine (or any) scores, a per-candidate relevance value and the
+common-ancestor level it derives from. Rank comparisons use strict score
+inequality, so tied scores produce no inversion in either direction;
+operations that need a concrete list order (cutoff metrics, set
+intersections) sort by descending score and break ties by ascending
+candidate id.
 
 Every kernel reads equal-length lists sorted once into list order (see
 `_sorted_rows`), so a query costs O(n log n) time. The single-list functions
-pass one row; `evaluate_rows`, behind `evaluate_dataset` and the trainer's
-holdout eval, passes chunks of at most `_CHUNK` entries at a time.
+pass one row; `evaluate_rows` passes chunks of at most `_CHUNK` entries at a
+time. The trainer's holdout eval feeds it rows of its score matrix, and
+`evaluate_columns` feeds it flat per-candidate columns grouped by query:
+the columns `read_scores` reads from a scores file for `hirank eval`, or
+the rankings given to `evaluate_dataset`.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -29,8 +34,10 @@ from .errors import (
     MalformedRecordError,
     NegativeQueryError,
     NoPositivesError,
+    QueryInCandidatesError,
+    UnknownInstanceError,
 )
-from .taxonomy import RelevancePartition, records
+from .taxonomy import Taxonomy, ancestor_levels, records
 
 # rows x candidates per evaluated chunk: it bounds every kernel's temporaries
 _CHUNK = 8192
@@ -61,20 +68,6 @@ class ScoredRanking:
             raise ValueError("relevance must be non-negative")
         if np.any((self.relevance == 0) != (self.levels == 0)):
             raise ValueError("relevance must be 0 exactly on level-0 candidates")
-
-    @classmethod
-    def from_partition(
-        cls, part: RelevancePartition, scores: Sequence[float]
-    ) -> "ScoredRanking":
-        if part.relevance is None:
-            raise ValueError("partition has no relevance assigned")
-        return cls(
-            query_id=part.query_id,
-            candidate_ids=part.candidate_ids,
-            scores=np.asarray(scores, dtype=np.float64),
-            relevance=np.asarray(part.relevance, dtype=np.float64),
-            levels=np.asarray(part.levels, dtype=np.int64),
-        )
 
     def __len__(self) -> int:
         return len(self.candidate_ids)
@@ -369,6 +362,29 @@ def evaluate_rows(
     )
 
 
+def evaluate_columns(
+    query_ids: Sequence[str], query: np.ndarray, columns: Sequence[np.ndarray],
+    ks: Sequence[int], depth: int,
+) -> MetricsReport:
+    """`evaluate_rows` over flat per-candidate columns, grouped by query.
+
+    `query[i]` is the position in `query_ids` of candidate i's query, in
+    non-decreasing order, and `columns` holds every candidate's (id key,
+    score, relevance, level), each column one array.
+    """
+    lengths = np.bincount(query, minlength=len(query_ids))
+    starts = np.cumsum(lengths) - lengths
+    by_length: dict[int, list[int]] = {}
+    for q, n in enumerate(lengths.tolist()):
+        by_length.setdefault(n, []).append(q)
+
+    def stack(chunk: list[int]) -> list[np.ndarray]:
+        at = starts[chunk][:, None] + np.arange(lengths[chunk[0]])
+        return [c[at] for c in columns]
+
+    return evaluate_rows(query_ids, by_length.items(), stack, ks, depth)
+
+
 def evaluate_dataset(
     rankings: Sequence[ScoredRanking],
     ks: Sequence[int] = (1,),
@@ -380,39 +396,65 @@ def evaluate_dataset(
     counted. Each metric averages over the queries where it is defined
     (e.g. a level's AP skips queries with no candidate at that level).
     """
+    if not rankings:
+        raise AllQueriesEmptyError("no query has a positive candidate")
     if depth is None:
-        depth = max((int(r.levels.max()) for r in rankings), default=0)
-    by_length: dict[int, list[int]] = {}
-    for i, r in enumerate(rankings):
-        by_length.setdefault(len(r), []).append(i)
-
-    def stack(chunk: list[int]) -> list[np.ndarray]:
-        lists = [rankings[i] for i in chunk]
-        fields = ("candidate_ids", "scores", "relevance", "levels")
-        return [np.array([getattr(r, f) for r in lists]) for f in fields]
-
-    return evaluate_rows([r.query_id for r in rankings], by_length.items(), stack, ks, depth)
+        depth = max(int(r.levels.max()) for r in rankings)
+    query = np.repeat(np.arange(len(rankings)), [len(r) for r in rankings])
+    ids, scores, relevance, levels = (
+        np.concatenate([getattr(r, f) for r in rankings])
+        for f in ("candidate_ids", "scores", "relevance", "levels")
+    )
+    # ties break by id, and the ids' ranks sort as the ids do
+    columns = (np.unique(ids, return_inverse=True)[1], scores, relevance, levels)
+    return evaluate_columns([r.query_id for r in rankings], query, columns, ks, depth)
 
 
-def parse_scores(text: str) -> dict[str, tuple[list[str], list[float]]]:
-    """Parse `query_id<TAB>candidate_id<TAB>score` records, preserving order."""
+class ScoreTable(NamedTuple):
+    """A scores file as flat per-row columns, its rows grouped by query.
+
+    Queries are numbered in order of first appearance, and each query's rows
+    keep their file order.
+    """
+
+    query_ids: list[str]
+    query: np.ndarray  # each row's query number
+    candidate: np.ndarray  # each row's candidate taxonomy row
+    score: np.ndarray
+    levels: np.ndarray  # each candidate's common-ancestor level with its query
+
+
+def read_scores(text: str, taxonomy: Taxonomy) -> ScoreTable:
+    """Read `query_id<TAB>candidate_id<TAB>score` records against `taxonomy`.
+
+    A bad score or an id the taxonomy lacks fails at its line; a score that
+    is not finite, a repeated (query, candidate) pair and a query among its
+    own candidates fail once every line has been read.
+    """
     layout = "query<TAB>candidate<TAB>score"
-    out: dict[str, tuple[list[str], list[float]]] = {}
-    for lineno, (query_id, candidate_id, score_text) in records(text, layout):
-        try:
-            score = float(score_text)
-        except ValueError:
-            raise MalformedRecordError(
-                f"line {lineno}: bad score {score_text!r}"
-            ) from None
-        ids, scores = out.setdefault(query_id, ([], []))
-        ids.append(candidate_id)
-        scores.append(score)
-    if not out:
+    row_of = taxonomy.row_of
+    number: dict[str, int] = {}
+    query_rows, query, candidate, score = array("q"), array("q"), array("q"), array("d")
+    try:
+        for lineno, (query_id, candidate_id, score_text) in records(text, layout):
+            try:
+                value = float(score_text)
+            except ValueError:
+                raise MalformedRecordError(f"line {lineno}: bad score {score_text!r}") from None
+            q = number.get(query_id)
+            if q is None:
+                query_rows.append(row_of[query_id])
+                q = number[query_id] = len(number)
+            query.append(q)
+            candidate.append(row_of[candidate_id])
+            score.append(value)
+    except KeyError as exc:
+        raise UnknownInstanceError(exc.args[0]) from None
+    if not score:
         raise EmptyInputError("no score rows")
-    # a sum that is not finite flags a nan or inf score (or an overflow)
-    if any(len(set(ids)) != len(ids) or not math.isfinite(sum(scores))
-           for ids, scores in out.values()):
+    query_rows, query, candidate, score = map(np.asarray, (query_rows, query, candidate, score))
+    pairs = np.sort(query * len(row_of) + candidate)
+    if not np.isfinite(score).all() or np.any(pairs[1:] == pairs[:-1]):
         # rescan to name the first row with a score that is not finite or that
         # repeats a (query, candidate) pair
         seen: set[tuple[str, str]] = set()
@@ -424,4 +466,10 @@ def parse_scores(text: str) -> dict[str, tuple[list[str], list[float]]]:
                     f"line {lineno}: candidate {candidate_id!r} repeated for query {query_id!r}"
                 )
             seen.add((query_id, candidate_id))
-    return out
+    own = query[candidate == query_rows[query]]
+    if len(own):
+        raise QueryInCandidatesError(list(number)[own.min()])
+    codes = taxonomy.row_codes
+    levels = ancestor_levels(codes[query_rows[query]], codes[candidate])
+    order = np.argsort(query, kind="stable")
+    return ScoreTable(list(number), *(a[order] for a in (query, candidate, score, levels)))

@@ -42,13 +42,13 @@ class SynthSpec:
             raise ValueError("holdout_fraction must lie in [0, 1)")
         if self.level_spread is not None:
             spread = tuple(float(s) for s in self.level_spread)
-            if len(spread) != len(self.branching) or any(s <= 0 for s in spread):
-                raise ValueError("level_spread needs one positive value per level")
+            if len(spread) != len(self.branching) or not all(0 < s < math.inf for s in spread):
+                raise ValueError("level_spread needs one positive finite value per level")
             if any(a <= b for a, b in zip(spread, spread[1:])):
                 raise ValueError("level_spread must strictly decrease with depth")
             object.__setattr__(self, "level_spread", spread)
-        if self.noise is not None and self.noise <= 0:
-            raise ValueError("noise must be positive")
+        if self.noise is not None and not 0 < self.noise < math.inf:
+            raise ValueError("noise must be positive and finite")
 
     @property
     def depth(self) -> int:

@@ -1,4 +1,4 @@
-"""Label hierarchies, per-query relevance and the reader of every text format.
+"""Label hierarchies, relevance profiles and the reader of every text format.
 
 A hierarchy file is newline-delimited ``instance_id<TAB>path`` records where
 the path is ``/``-separated, coarsest component first, and every path has the
@@ -9,7 +9,7 @@ under two different parents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -21,7 +21,6 @@ from .errors import (
     EmptyLevelDivisionError,
     MalformedRecordError,
     NonTreeParentageError,
-    QueryInCandidatesError,
     RaggedDepthError,
     TooFewLeavesError,
     UnknownInstanceError,
@@ -52,54 +51,22 @@ class Taxonomy:
         return self.path(instance_id)[-1]
 
     @cached_property
-    def _encoded(self) -> tuple[dict[str, int], np.ndarray]:
-        row_of = {iid: row for row, iid in enumerate(self.entries)}
-        return row_of, path_codes(list(self.entries.values()), self.depth)
+    def row_of(self) -> dict[str, int]:
+        """Each instance's row: its position among the sorted ids, so that
+        rows sort as the ids do."""
+        return {iid: row for row, iid in enumerate(sorted(self.entries))}
+
+    @cached_property
+    def row_codes(self) -> np.ndarray:
+        """Per-level label codes of every row (see `path_codes`)."""
+        return path_codes([self.entries[iid] for iid in self.row_of], self.depth)
 
     def codes(self, instance_ids: Iterable[str]) -> np.ndarray:
         """Per-level label codes of the given instances (see `path_codes`)."""
-        row_of, codes = self._encoded
         try:
-            return codes[[row_of[i] for i in instance_ids]]
+            return self.row_codes[[self.row_of[i] for i in instance_ids]]
         except KeyError as exc:
             raise UnknownInstanceError(exc.args[0]) from None
-
-
-@dataclass(frozen=True)
-class RelevancePartition:
-    """Per-query partition of a candidate set by common-ancestor level.
-
-    ``levels[i]`` is the level of the closest ancestor shared by candidate i
-    and the query (0 = no shared node, ``depth`` = same leaf). ``relevance``
-    is None until a profile has been applied; once set, relevance is 0
-    exactly for level-0 candidates.
-    """
-
-    query_id: str
-    candidate_ids: tuple[str, ...]
-    levels: np.ndarray
-    depth: int
-    relevance: np.ndarray | None = None
-    level_counts: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.level_counts is None:
-            counts = np.bincount(self.levels, minlength=self.depth + 1)
-            object.__setattr__(self, "level_counts", counts)
-
-    @property
-    def num_positives(self) -> int:
-        return int(self.level_counts[1:].sum())
-
-
-@dataclass(frozen=True)
-class MonotonicityWarning:
-    """A deeper level whose relevance does not dominate a shallower one."""
-
-    level_hi: int
-    level_lo: int
-    min_rel_hi: float
-    max_rel_lo: float
 
 
 @dataclass(frozen=True)
@@ -271,73 +238,20 @@ def _check_tree(paths: Iterable[LabelPath]) -> None:
             parent = node
 
 
-def leaf_only(tax: Taxonomy) -> Taxonomy:
-    """Depth-1 view keeping only the leaf label of every instance."""
-    entries = {iid: (path[-1],) for iid, path in tax.entries.items()}
-    return Taxonomy(depth=1, entries=entries, level_sizes=(tax.level_sizes[-1],))
-
-
-def build_partition(
-    tax: Taxonomy, query: str, candidates: Sequence[str]
-) -> RelevancePartition:
-    """Assign every candidate its common-ancestor level with the query."""
-    query_codes = tax.codes([query])
-    candidate_ids = tuple(candidates)
-    if query in candidate_ids:
-        raise QueryInCandidatesError(query)
-    levels = ancestor_levels(query_codes, tax.codes(candidate_ids))
-    return RelevancePartition(
-        query_id=query, candidate_ids=candidate_ids, levels=levels, depth=tax.depth
-    )
-
-
-def partition_from_paths(
-    query_id: str,
-    query_path: LabelPath,
-    candidate_ids: Sequence[str],
-    candidate_paths: Sequence[LabelPath],
-    depth: int,
-) -> RelevancePartition:
-    """Build a partition directly from label paths (no Taxonomy lookup)."""
-    codes = path_codes([query_path, *candidate_paths], depth)
-    levels = ancestor_levels(codes[:1], codes[1:])
-    return RelevancePartition(
-        query_id=query_id, candidate_ids=tuple(candidate_ids), levels=levels, depth=depth
-    )
 
 
 def assign_relevance(
-    part: RelevancePartition, profile: RelevanceProfile
-) -> RelevancePartition:
-    """Apply a relevance profile; returns a new partition with relevance set.
+    levels: np.ndarray, query: np.ndarray, profile: RelevanceProfile, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Relevance of each candidate under `profile`, and its level.
 
-    Candidates at a level the profile maps to 0 (an explicit table may) are
-    reassigned to level 0, so that relevance == 0 always means negative.
+    `levels[i]` is the common-ancestor level of candidate i with query
+    number `query[i]`; each query's candidate counts per level normalize
+    its relevance. Candidates at a level the profile maps to 0 (an explicit
+    table may) are reassigned to level 0, so that relevance == 0 always
+    means negative.
     """
-    rel = profile.level_table(part.level_counts, skip_empty=False)[part.levels]
-    levels = np.where(rel > 0, part.levels, 0)
-    return replace(part, relevance=rel, levels=levels, level_counts=None)
-
-
-def validate_relevance(part: RelevancePartition) -> list[MonotonicityWarning]:
-    """Report level pairs where relevance fails to decrease up the tree.
-
-    Per-level normalization can make a deep, populous level less relevant per
-    instance than a shallow, sparse one; this surfaces those cases without
-    failing.
-    """
-    if part.relevance is None:
-        raise ValueError("relevance has not been assigned")
-    warnings = []
-    present = [l for l in range(1, part.depth + 1) if part.level_counts[l] > 0]
-    for i, hi in enumerate(present):
-        for lo in present[:i]:
-            min_hi = float(part.relevance[part.levels == hi].min())
-            max_lo = float(part.relevance[part.levels == lo].max())
-            if min_hi <= max_lo:
-                warnings.append(
-                    MonotonicityWarning(
-                        level_hi=hi, level_lo=lo, min_rel_hi=min_hi, max_rel_lo=max_lo
-                    )
-                )
-    return warnings
+    width = depth + 1
+    counts = np.bincount(query * width + levels, minlength=(query.max() + 1) * width)
+    rel = profile.level_table(counts.reshape(-1, width), skip_empty=False)[query, levels]
+    return rel, np.where(rel > 0, levels, 0)

@@ -56,6 +56,13 @@ def _one_of(*names: str) -> tuple:
     return ("must be one of " + ", ".join(map(repr, names)), lambda v: v in names)
 
 
+def _integer(value) -> int:
+    """`int(value)`, refusing a bool or a number with a fractional part."""
+    if isinstance(value, bool) or isinstance(value, float) and value != int(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ConfigKey:
     """A config key: its dotted JSON name, its conversion (None keeps the value),
@@ -91,26 +98,26 @@ class TrainerConfig:
     config key; `profile` and `heaviside` are built from `_CONFIG_KEYS`."""
 
     model_kind: str = _key("model.kind", "linear", None, rule=_one_of("table", "linear"))
-    dim: int = _key("model.dim", 8, int, rule=_AT_LEAST[2])
-    in_dim: int | None = _key("model.in_dim", None, lambda v: None if v is None else int(v))
+    dim: int = _key("model.dim", 8, _integer, rule=_AT_LEAST[2])
+    in_dim: int | None = _key("model.in_dim", None, lambda v: None if v is None else _integer(v))
     optimizer_kind: str = _key("optimizer.kind", "adam", None, rule=_one_of("sgd", "adam"))
     momentum: float = _key("optimizer.momentum", 0.0, rule=_UNIT)
     beta1: float = _key("optimizer.beta1", 0.9, rule=_UNIT)
     beta2: float = _key("optimizer.beta2", 0.999, rule=_UNIT)
     eps: float = _key("optimizer.eps", 1e-8, rule=_POSITIVE)
     lr0: float = _key("lr0", 0.01, rule=_POSITIVE)
-    epochs: int = _key("epochs", 20, int, rule=_AT_LEAST[0])
-    batch_size: int = _key("batch_size", 64, int, rule=_AT_LEAST[2])
-    m_per_class: int = _key("m_per_class", 4, int, rule=_AT_LEAST[1])
-    warmup_epochs: int = _key("warmup_epochs", 0, int, rule=_AT_LEAST[0])
-    seed: int = _key("seed", 0, int, rule=_AT_LEAST[0])
+    epochs: int = _key("epochs", 20, _integer, rule=_AT_LEAST[0])
+    batch_size: int = _key("batch_size", 64, _integer, rule=_AT_LEAST[2])
+    m_per_class: int = _key("m_per_class", 4, _integer, rule=_AT_LEAST[1])
+    warmup_epochs: int = _key("warmup_epochs", 0, _integer, rule=_AT_LEAST[0])
+    seed: int = _key("seed", 0, _integer, rule=_AT_LEAST[0])
     lam: float = _key("objective.lambda", 0.1, rule=("must lie in [0, 1]", lambda v: 0 <= v <= 1))
     sigma: float = _key("objective.sigma", 0.05, rule=_POSITIVE)
     profile: RelevanceProfile = field(default_factory=RelevanceProfile.alpha)
     heaviside: SmoothHeavisideParams = field(default_factory=SmoothHeavisideParams)
-    eval_every: int = _key("eval_every", 1, int, rule=_AT_LEAST[1])
+    eval_every: int = _key("eval_every", 1, _integer, rule=_AT_LEAST[1])
     recall_ks: tuple[int, ...] = _key(
-        "recall_ks", (1, 4), lambda ks: tuple(int(k) for k in ks), json_type=list,
+        "recall_ks", (1, 4), lambda ks: tuple(map(_integer, ks)), json_type=list,
         rule=("must hold cutoffs >= 1", lambda ks: all(k >= 1 for k in ks)),
     )
 
@@ -305,7 +312,8 @@ def pairwise_levels(codes: np.ndarray) -> np.ndarray:
 def relevance_rows(levels: np.ndarray, profile: RelevanceProfile, depth: int) -> np.ndarray:
     """Relevance of candidate j for query q, per batch row, diagonal zeroed.
 
-    Follows the same per-query normalization as taxonomy.assign_relevance.
+    Each row is normalized over its own candidates, as taxonomy.assign_relevance
+    normalizes each query of `hirank eval`'s per-candidate columns.
     Weighted profiles drop weight terms whose positive-or-deeper set is
     empty inside the batch instead of raising: a sampled batch routinely
     misses levels that the full candidate pool would cover.

@@ -66,6 +66,20 @@ class TestSynthCommand:
         assert code == 1
         assert "branching" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--noise", "nan"], "noise must be positive and finite"),
+         (["--noise", "inf"], "noise must be positive and finite"),
+         (["--spread", "2,nan,0.5"], "level_spread needs one positive finite value per level"),
+         (["--spread", "inf,1,0.5"], "level_spread needs one positive finite value per level")],
+        ids=["noise-nan", "noise-inf", "spread-nan", "spread-inf"],
+    )
+    def test_nonfinite_value_is_usage_error(self, tmp_path, capsys, flags, message):
+        code = run(["synth", "--out", str(tmp_path / "d"), "--branching", "2,2,2", *flags])
+        assert code == 1
+        assert capsys.readouterr().err == f"hirank synth: {message}\n"
+        assert not (tmp_path / "d").exists()
+
     def test_too_few_leaves_is_data_error(self, tmp_path, capsys):
         code = run(["synth", "--out", str(tmp_path / "d"), "--branching", "2"])
         assert code == 2
@@ -174,14 +188,16 @@ class TestEvalCommand:
         code = run(["eval", "--taxonomy", str(tax), "--scores", str(sco),
                     "--out", str(tmp_path / "r.json")])
         assert code == 2
-        assert "hirank eval: unknown instance id 'zz'" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"hirank eval: {sco}: unknown instance id 'zz'\n"
 
     def test_query_among_its_candidates_is_named(self, tmp_path, capsys):
         tax, sco = write_eval_inputs(tmp_path, scores=FIXTURE_SCORES + "q\tq\t5\n")
         code = run(["eval", "--taxonomy", str(tax), "--scores", str(sco),
                     "--out", str(tmp_path / "r.json")])
         assert code == 2
-        assert "hirank eval: query 'q' is among its own candidates\n" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"hirank eval: {sco}: query 'q' is among its own candidates\n"
+        )
 
     @pytest.mark.parametrize(
         "flag, taxonomy, scores, message",
@@ -317,6 +333,13 @@ WRONG_TYPE = [
      f"objective.profile.weights: {NOT_FLOAT}"),
     ("objective.profile.table", profile(kind="explicit", table={"x": 1}),
      f"objective.profile.table: {NOT_INT}"),
+    # an integer key refuses a fraction or a bool (an integral float such as
+    # 8.0 is accepted: see test_trainer)
+    ("epochs", {"epochs": 2.7}, "epochs: expected an integer, got 2.7"),
+    ("recall_ks", {"recall_ks": [1.9]}, "recall_ks: expected an integer, got 1.9"),
+    ("model.dim", nested("model.dim", True), "model.dim: expected an integer, got True"),
+    ("model.in_dim", nested("model.in_dim", 5.5), "model.in_dim: expected an integer, got 5.5"),
+    ("seed", {"seed": False}, "seed: expected an integer, got False"),
 ]
 
 OUT_OF_RANGE = [

@@ -81,16 +81,13 @@ from hirank.metrics import (
     evaluate_dataset,
     h_ap,
     ndcg,
-    parse_scores,
+    read_scores,
     recall_at_k,
 )
 from hirank.taxonomy import (
-    RelevancePartition,
     RelevanceProfile,
     assign_relevance,
-    build_partition,
     parse_taxonomy,
-    partition_from_paths,
     path_codes,
     records,
 )
@@ -270,15 +267,18 @@ def test_vectorized_levels_match_the_oracle(case):
     depth, paths = case
     expect = np.array([[oracle_ancestor_level(a, b) for b in paths] for a in paths])
     assert np.array_equal(pairwise_levels(path_codes(paths, depth)), expect)
-    ids = [f"c{i}" for i in range(1, len(paths))]
-    part = partition_from_paths("q", paths[0], ids, paths[1:], depth)
-    assert np.array_equal(part.levels, expect[0, 1:])
     # a valid tree: every node named by its full prefix, plus one unrelated leaf
     named = [tuple("".join(p[: l + 1]) for l in range(depth)) for p in paths]
     named.append(tuple("z" * (l + 1) for l in range(depth)))
     tax = parse_taxonomy("".join(f"i{i}\t{'/'.join(p)}\n" for i, p in enumerate(named)))
-    part = build_partition(tax, "i0", [f"i{i}" for i in range(1, len(paths))])
-    assert np.array_equal(part.levels, expect[0, 1:])
+    # every path queries every other, the queries interleaved
+    n = len(paths)
+    pairs = [(q, c) for c in range(n) for q in range(n) if q != c]
+    table = read_scores("".join(f"i{q}\ti{c}\t0\n" for q, c in pairs), tax)
+    ids = list(tax.row_of)
+    queries = [int(table.query_ids[q][1:]) for q in table.query]
+    candidates = [int(ids[c][1:]) for c in table.candidate]
+    assert np.array_equal(table.levels, expect[queries, candidates])
 
 
 # --- relevance profiles ---------------------------------------------------------------
@@ -334,14 +334,20 @@ def test_profile_table_matches_the_relevance_oracles(case):
             assert np.array_equal(rel[q, others], alpha_relevance(lv, depth, profile.alpha_value))
         elif profile.kind == "weighted-ap":
             assert np.array_equal(rel[q, others], weighted_relevance(lv, profile.weights))
-        part = RelevancePartition("q", tuple(f"c{j}" for j in range(b - 1)), lv, depth)
-        if profile.kind == "weighted-ap" and not np.any(lv == depth):
-            with pytest.raises(EmptyLevelDivisionError):
-                assign_relevance(part, profile)
-            continue
-        part = assign_relevance(part, profile)
-        assert np.array_equal(part.relevance, rel[q, others])
-        assert np.array_equal(part.levels, np.where(rel[q, others] > 0, lv, 0))
+    # assign_relevance over every query that it can normalize, in one call
+    query = np.repeat(np.arange(b), b - 1)
+    lv = levels[~np.eye(b, dtype=bool)]
+    empty = (profile.kind == "weighted-ap") & ~np.any(lv.reshape(b, b - 1) == depth, axis=1)
+    if empty.any():
+        with pytest.raises(EmptyLevelDivisionError):
+            assign_relevance(lv, query, profile, depth)
+    keep = ~empty[query]
+    if keep.any():
+        numbers = np.cumsum(~empty) - 1  # the kept queries renumbered from 0
+        got, got_levels = assign_relevance(lv[keep], numbers[query[keep]], profile, depth)
+        expected = rel[~np.eye(b, dtype=bool)][keep]
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got_levels, np.where(expected > 0, lv[keep], 0))
 
 
 # --- training losses ------------------------------------------------------------------
@@ -609,13 +615,15 @@ def test_batch_clustering_matches_the_per_row_loop(case):
 # --- the record reader and the text parsers -------------------------------------------
 
 IDS = ["a", "b", "é", "漢"]
+SCORE_TAXONOMY = parse_taxonomy("".join(f"{i}\t{i}\n" for i in ["q", "ß", *IDS]))
 # per format: the parser, each field's valid values and the key that must not repeat;
 # the values never break a parser's own rules, so only the line rules and repeats fail
 RECORD_FORMATS = {
     "taxonomy": (parse_taxonomy, [IDS, ["r/x", "r/y", "s/z"]], lambda f: f[0]),
     "features": (parse_features, [IDS, ["1.5", "-2", "2.5e-1"]], lambda f: f[0]),
     "split": (parse_split, [["x", "y", "ü"]], lambda f: f[0]),
-    "scores": (parse_scores, [["q", "é"], IDS, ["1.5", "-2", "0"]], lambda f: (f[0], f[1])),
+    "scores": (lambda text: read_scores(text, SCORE_TAXONOMY),
+               [["q", "ß"], IDS, ["1.5", "-2", "0"]], lambda f: (f[0], f[1])),
 }
 
 
@@ -701,8 +709,11 @@ def test_parsers_read_records_like_the_oracle(data, kind):
     elif kind == "split":
         assert parse(text) == tuple(f[0] for f in rows)
     else:
-        by_query: dict[str, tuple[list[str], list[float]]] = {}
-        for q, c, score in rows:
-            by_query.setdefault(q, ([], []))[0].append(c)
-            by_query[q][1].append(float(score))
-        assert parse(text) == by_query
+        table = parse(text)
+        ids = list(SCORE_TAXONOMY.row_of)
+        queries = list(dict.fromkeys(q for q, _, _ in rows))
+        grouped = sorted(rows, key=lambda f: queries.index(f[0]))  # stable: file order inside
+        assert table.query_ids == queries
+        assert [table.query_ids[q] for q in table.query] == [f[0] for f in grouped]
+        assert [ids[c] for c in table.candidate] == [f[1] for f in grouped]
+        assert table.score.tolist() == [float(f[2]) for f in grouped]

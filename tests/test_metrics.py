@@ -19,6 +19,7 @@ from hirank.errors import (
     MalformedRecordError,
     NegativeQueryError,
     NoPositivesError,
+    UnknownInstanceError,
 )
 from hirank.metrics import (
     ScoredRanking,
@@ -30,10 +31,11 @@ from hirank.metrics import (
     h_pr_at_k,
     h_rank,
     ndcg,
-    parse_scores,
     rank_of,
+    read_scores,
     recall_at_k,
 )
+from hirank.taxonomy import parse_taxonomy
 
 
 def binary(scores, labels):
@@ -412,11 +414,37 @@ class TestEvaluateDataset:
         assert text.index('"h_ap"') < text.index('"ap_level_1"') < text.index('"asi"')
 
 
+SCORE_TAXONOMY = parse_taxonomy(
+    "".join(f"{i}\t{i}\n" for i in ("q", "r", "a", "b", "c", "é", "ß", "漢", "ø"))
+)
+
+
+def parse_scores(text):
+    """read_scores over SCORE_TAXONOMY as {query: (candidate ids, scores)}."""
+    table = read_scores(text, SCORE_TAXONOMY)
+    ids = list(SCORE_TAXONOMY.row_of)
+    out = {}
+    for q, c, score in zip(table.query.tolist(), table.candidate.tolist(), table.score.tolist()):
+        candidates, scores = out.setdefault(table.query_ids[q], ([], []))
+        candidates.append(ids[c])
+        scores.append(score)
+    return out
+
+
 class TestParseScores:
     def test_basic(self):
-        out = parse_scores("q\ta\t1.5\nq\tb\t-2\nr\ta\t0\n")
-        assert out["q"] == (["a", "b"], [1.5, -2.0])
-        assert out["r"] == (["a"], [0.0])
+        table = read_scores("q\ta\t1.5\nr\ta\t0\nq\tb\t-2\n", SCORE_TAXONOMY)
+        # rows grouped by query in order of first appearance, file order inside
+        assert table.query_ids == ["q", "r"]
+        # taxonomy rows follow the sorted ids: a, b, c, q, r, ...
+        assert table.query.tolist() == [0, 0, 1]
+        assert table.candidate.tolist() == [0, 1, 0]
+        assert table.score.tolist() == [1.5, -2.0, 0.0]
+        assert table.levels.tolist() == [0, 0, 0]
+
+    def test_unknown_id_fails_before_a_later_bad_line(self):
+        with pytest.raises(UnknownInstanceError, match="'zz'"):
+            parse_scores("q\tzz\t1\nq\ta\tnot-a-number\nq\ta\n")
 
     def test_bad_score_names_line(self):
         with pytest.raises(MalformedRecordError, match="line 2"):

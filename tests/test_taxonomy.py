@@ -13,17 +13,14 @@ from hirank.errors import (
     TooFewLeavesError,
     UnknownInstanceError,
 )
+from hirank.metrics import read_scores
 from hirank.taxonomy import (
     RelevanceProfile,
     ancestor_levels,
     assign_relevance,
-    build_partition,
     format_taxonomy,
-    leaf_only,
     parse_taxonomy,
-    partition_from_paths,
     path_codes,
-    validate_relevance,
 )
 
 VEHICLES = (
@@ -88,12 +85,6 @@ class TestParseTaxonomy:
         assert tax.path("é1") == ("пути", "ß", "漢")
         assert parse_taxonomy(format_taxonomy(tax)).entries == dict(tax.entries)
 
-    def test_leaf_only_view(self):
-        tax = leaf_only(parse_taxonomy(VEHICLES))
-        assert tax.depth == 1
-        assert tax.path("lada2") == ("lada",)
-        assert tax.level_sizes == (4,)
-
 
 def level_of(path_a, path_b) -> int:
     codes = path_codes([path_a, path_b], len(path_a))
@@ -115,77 +106,67 @@ class TestAncestorLevel:
             assert level_of(a, b) == level_of(b, a) == oracle_ancestor_level(a, b)
 
 
+def scores_text(query, candidates):
+    return "".join(f"{query}\t{c}\t0\n" for c in candidates)
+
+
 class TestBuildPartition:
+    """Candidate levels against their query, read from a scores file."""
+
     def test_levels_against_fixture(self):
         tax = parse_taxonomy(VEHICLES)
-        part = build_partition(tax, "lada2", ["lada9", "prius4", "boat1", "oak1"])
-        assert part.levels.tolist() == [3, 2, 1, 0]
-        assert part.level_counts.tolist() == [1, 1, 1, 1]
-        assert part.num_positives == 3
+        table = read_scores(scores_text("lada2", ["lada9", "prius4", "boat1", "oak1"]), tax)
+        assert table.levels.tolist() == [3, 2, 1, 0]
 
     def test_unknown_instance(self):
         tax = parse_taxonomy(VEHICLES)
-        with pytest.raises(UnknownInstanceError):
-            build_partition(tax, "lada2", ["ghost"])
+        for text in (scores_text("lada2", ["ghost"]), scores_text("ghost", ["lada2"])):
+            with pytest.raises(UnknownInstanceError, match="'ghost'"):
+                read_scores(text, tax)
 
     def test_query_in_candidates(self):
         tax = parse_taxonomy(VEHICLES)
-        with pytest.raises(QueryInCandidatesError):
-            build_partition(tax, "lada2", ["lada2"])
+        text = scores_text("oak1", ["lada2"]) + scores_text("lada2", ["boat1", "lada2"])
+        with pytest.raises(QueryInCandidatesError, match="'lada2'"):
+            read_scores(text, tax)
 
     def test_partition_from_paths_matches(self):
+        # the table's levels equal those of the instances' own codes
         tax = parse_taxonomy(VEHICLES)
         ids = ["lada9", "prius4", "boat1"]
-        via_tax = build_partition(tax, "lada2", ids)
-        direct = partition_from_paths(
-            "lada2", tax.path("lada2"), ids, [tax.path(i) for i in ids], tax.depth
-        )
-        assert direct.levels.tolist() == via_tax.levels.tolist()
+        table = read_scores(scores_text("lada2", ids), tax)
+        expected = ancestor_levels(tax.codes(["lada2"]), tax.codes(ids))
+        assert table.levels.tolist() == expected.tolist()
+
+
+def relevance(levels, profile, depth, query=None):
+    """assign_relevance over `levels`, all of one query unless `query` says otherwise."""
+    levels = np.asarray(levels)
+    query = np.zeros(len(levels), dtype=np.int64) if query is None else np.asarray(query)
+    return assign_relevance(levels, query, profile, depth)
 
 
 class TestRelevanceProfiles:
     def test_alpha_level_weights(self):
         # depth 3, alpha 1, one candidate per level: rel = l/3 directly
-        part = partition_from_paths(
-            "q", ("a", "b", "c"),
-            ["x1", "x2", "x3"],
-            [("a", "b", "c"), ("a", "b", "z"), ("a", "y", "z")],
-            depth=3,
-        )
-        part = assign_relevance(part, RelevanceProfile.alpha(1.0))
-        assert np.allclose(sorted(part.relevance), [1 / 3, 2 / 3, 1.0])
+        rel, _ = relevance([3, 2, 1], RelevanceProfile.alpha(1.0), 3)
+        assert np.allclose(rel, [1.0, 2 / 3, 1 / 3])
 
     def test_alpha_normalizes_by_level_count(self):
-        levels = np.array([2, 2, 1, 1, 0])
-        part = partition_from_paths(
-            "q", ("a", "b"),
-            ["c1", "c2", "c3", "c4", "c5"],
-            [("a", "b"), ("a", "b"), ("a", "y"), ("a", "z"), ("w", "z")],
-            depth=2,
-        )
-        assert part.levels.tolist() == levels.tolist()
-        part = assign_relevance(part, RelevanceProfile.alpha(1.0))
+        rel, levels = relevance([2, 2, 1, 1, 0], RelevanceProfile.alpha(1.0), 2)
         # (l/L)^alpha split evenly across the candidates at that exact level
-        assert np.allclose(part.relevance, [0.5, 0.5, 0.25, 0.25, 0.0])
+        assert np.allclose(rel, [0.5, 0.5, 0.25, 0.25, 0.0])
+        assert levels.tolist() == [2, 2, 1, 1, 0]
 
     def test_alpha_single_deepest_gets_one(self):
         for alpha in (0.5, 1.0, 3.0):
-            part = partition_from_paths(
-                "q", ("a", "b"), ["c"], [("a", "b")], depth=2
-            )
-            part = assign_relevance(part, RelevanceProfile.alpha(alpha))
-            assert part.relevance[0] == 1.0
+            rel, _ = relevance([2], RelevanceProfile.alpha(alpha), 2)
+            assert rel[0] == 1.0
 
     def test_weighted_example(self):
         # w=(0.4, 0.6) with 2 candidates at each level: level-1 rel 0.1, level-2 rel 0.4
-        part = partition_from_paths(
-            "q", ("a", "b"),
-            ["c1", "c2", "c3", "c4"],
-            [("a", "b"), ("a", "b"), ("a", "x"), ("a", "y")],
-            depth=2,
-        )
-        part = assign_relevance(part, RelevanceProfile.weighted_ap((0.4, 0.6)))
-        assert np.allclose(sorted(part.relevance), [0.1, 0.1, 0.4, 0.4])
+        rel, _ = relevance([2, 2, 1, 1], RelevanceProfile.weighted_ap((0.4, 0.6)), 2)
+        assert np.allclose(rel, [0.4, 0.4, 0.1, 0.1])
 
     def test_weighted_total_relevance_is_one(self, rng):
         for _ in range(100):
@@ -196,37 +177,23 @@ class TestRelevanceProfiles:
                 levels[0] = depth
             w = rng.uniform(0.1, 1.0, size=depth)
             w /= w.sum()
-            paths, qpath = _paths_for_levels(levels, depth)
-            part = partition_from_paths(
-                "q", qpath, [f"c{i}" for i in range(n)], paths, depth
-            )
-            part = assign_relevance(part, RelevanceProfile.weighted_ap(tuple(w)))
-            assert abs(part.relevance.sum() - 1.0) <= 1e-12
+            rel, _ = relevance(levels, RelevanceProfile.weighted_ap(tuple(w)), depth)
+            assert abs(rel.sum() - 1.0) <= 1e-12
 
     def test_weighted_empty_upper_level_raises(self):
-        part = partition_from_paths(
-            "q", ("a", "b"), ["c1"], [("a", "x")], depth=2
-        )  # only a level-1 candidate
-        with pytest.raises(EmptyLevelDivisionError):
-            assign_relevance(part, RelevanceProfile.weighted_ap((0.4, 0.6)))
+        # only a level-1 candidate; the second query alone would be fine
+        with pytest.raises(EmptyLevelDivisionError, match="level >= 2 but weight 0.6"):
+            relevance([1, 2], RelevanceProfile.weighted_ap((0.4, 0.6)), 2, query=[0, 1])
 
     def test_weighted_wrong_arity(self):
-        part = partition_from_paths("q", ("a", "b"), ["c1"], [("a", "b")], depth=2)
         with pytest.raises(ValueError):
-            assign_relevance(part, RelevanceProfile.weighted_ap((1.0,)))
+            relevance([2], RelevanceProfile.weighted_ap((1.0,)), 2)
 
     def test_explicit_relevels_zeros(self):
-        part = partition_from_paths(
-            "q", ("a", "b"),
-            ["c1", "c2"],
-            [("a", "x"), ("a", "b")],
-            depth=2,
-        )
-        part = assign_relevance(part, RelevanceProfile.explicit({2: 1.0}))
+        rel, levels = relevance([1, 2], RelevanceProfile.explicit({2: 1.0}), 2)
         # the level-1 candidate got relevance 0, so it is re-leveled to 0
-        assert part.levels.tolist() == [0, 2]
-        assert part.relevance.tolist() == [0.0, 1.0]
-        assert part.level_counts.tolist() == [1, 0, 1]
+        assert levels.tolist() == [0, 2]
+        assert rel.tolist() == [0.0, 1.0]
 
     def test_fine_only_is_explicit_last_level(self):
         profile = RelevanceProfile.fine_only(3)
@@ -258,71 +225,12 @@ class TestRelevanceProfiles:
             RelevanceProfile.explicit({1: value})
 
     def test_assignment_is_order_independent(self, rng):
-        depth = 3
-        levels = np.array([3, 1, 0, 2, 2, 0, 1])
-        paths, qpath = _paths_for_levels(levels, depth)
-        ids = [f"c{i}" for i in range(len(levels))]
-        part = assign_relevance(
-            partition_from_paths("q", qpath, ids, paths, depth),
-            RelevanceProfile.alpha(2.0),
-        )
+        # two queries, each normalized on its own, in any row order
+        levels = np.array([3, 1, 0, 2, 2, 0, 1, 3, 3, 1])
+        query = np.array([0] * 7 + [1] * 3)
+        profile = RelevanceProfile.alpha(2.0)
+        rel, _ = relevance(levels, profile, 3, query)
+        assert rel[7:].tolist() == relevance(levels[7:], profile, 3)[0].tolist()
         perm = rng.permutation(len(levels))
-        part2 = assign_relevance(
-            partition_from_paths(
-                "q", qpath, [ids[i] for i in perm], [paths[i] for i in perm], depth
-            ),
-            RelevanceProfile.alpha(2.0),
-        )
-        by_id = dict(zip(part.candidate_ids, part.relevance))
-        by_id2 = dict(zip(part2.candidate_ids, part2.relevance))
-        assert by_id == by_id2
-
-
-class TestValidateRelevance:
-    def test_no_warning_when_monotone(self):
-        # one level-2 candidate, two level-1: rels (1, 0.25) stay ordered
-        part = partition_from_paths(
-            "q", ("a", "b"),
-            ["c1", "c2", "c3"],
-            [("a", "b"), ("a", "x"), ("a", "y")],
-            depth=2,
-        )
-        part = assign_relevance(part, RelevanceProfile.alpha(1.0))
-        assert validate_relevance(part) == []
-
-    def test_warning_when_normalization_inverts(self):
-        # ten level-2 candidates vs one level-1: 0.1 < 0.5
-        paths = [("a", "b")] * 10 + [("a", "x")]
-        part = partition_from_paths(
-            "q", ("a", "b"), [f"c{i}" for i in range(11)], paths, depth=2
-        )
-        part = assign_relevance(part, RelevanceProfile.alpha(1.0))
-        warnings = validate_relevance(part)
-        assert len(warnings) == 1
-        w = warnings[0]
-        assert (w.level_hi, w.level_lo) == (2, 1)
-        assert w.min_rel_hi == pytest.approx(0.1)
-        assert w.max_rel_lo == pytest.approx(0.5)
-
-    def test_single_level_no_warning(self):
-        part = partition_from_paths(
-            "q", ("a", "b"), ["c1", "c2"], [("a", "b"), ("a", "b")], depth=2
-        )
-        part = assign_relevance(part, RelevanceProfile.alpha(1.0))
-        assert validate_relevance(part) == []
-
-    def test_requires_assigned_relevance(self):
-        part = partition_from_paths("q", ("a",), ["c1"], [("a",)], depth=1)
-        with pytest.raises(ValueError):
-            validate_relevance(part)
-
-
-def _paths_for_levels(levels, depth):
-    """Construct candidate paths realizing the wanted common-prefix levels."""
-    qpath = tuple(f"q{l}" for l in range(depth))
-    paths = []
-    for i, level in enumerate(levels):
-        # shared prefix of length `level`, then diverge into a unique branch
-        own = tuple(f"x{i}_{j}" for j in range(depth - level))
-        paths.append(qpath[:level] + own)
-    return paths, qpath
+        rel2, _ = relevance(levels[perm], profile, 3, query[perm])
+        assert rel2.tolist() == rel[perm].tolist()

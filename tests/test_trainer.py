@@ -133,6 +133,11 @@ class TestConfigFromDict:
         assert cfg.heaviside.gamma == 5.0
         assert cfg.recall_ks == (1, 8)
 
+    def test_integral_floats_are_integers(self):
+        cfg = config_from_dict({"epochs": 3.0, "batch_size": 8.0, "recall_ks": [1.0, 4]}, depth=2)
+        assert (cfg.epochs, cfg.batch_size, cfg.recall_ks) == (3, 8, (1, 4))
+        assert isinstance(cfg.epochs, int)
+
     def test_empty_config_is_the_dataclass_default(self):
         assert config_from_dict({}, depth=3, in_dim=7) == TrainerConfig(in_dim=7)
         assert config_from_dict({}, depth=3) == TrainerConfig()
