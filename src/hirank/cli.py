@@ -141,6 +141,7 @@ def cmd_eval(args) -> int:
         return USAGE_EXIT
     try:
         taxonomy = ds_io.read_file(args.taxonomy, parse_taxonomy)
+        profile.level_table([0] * (taxonomy.depth + 1), skip_empty=True)  # checks the weight count
         table = ds_io.read_file(args.scores, lambda text: read_scores(text, taxonomy))
         relevance, levels = assign_relevance(table.levels, table.query, profile, taxonomy.depth)
         # ties break by id, and taxonomy rows sort as the ids do

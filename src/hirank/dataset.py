@@ -90,12 +90,6 @@ class RetrievalDataset:
             i for i in self.ids if self.taxonomy.leaf(i) not in self.holdout_classes
         )
 
-    @property
-    def holdout_ids_ordered(self) -> tuple[str, ...]:
-        return tuple(
-            i for i in self.ids if self.taxonomy.leaf(i) in self.holdout_classes
-        )
-
     def feature(self, instance_id: str) -> np.ndarray:
         try:
             return self.features[self.row_of[instance_id]]

@@ -37,7 +37,7 @@ from .errors import (
     QueryInCandidatesError,
     UnknownInstanceError,
 )
-from .taxonomy import Taxonomy, ancestor_levels, records
+from .taxonomy import Taxonomy, ancestor_levels, records, string_ranks
 
 # rows x candidates per evaluated chunk: it bounds every kernel's temporaries
 _CHUNK = 8192
@@ -105,7 +105,7 @@ def _sorted_rows(ids, scores, relevance, levels) -> _Rows:
 
 
 def _rows_of(r: ScoredRanking) -> _Rows:
-    ids = np.asarray(r.candidate_ids)[None]
+    ids = string_ranks(r.candidate_ids)[1][None]
     return _sorted_rows(ids, r.scores[None], r.relevance[None], r.levels[None])
 
 
@@ -401,12 +401,10 @@ def evaluate_dataset(
     if depth is None:
         depth = max(int(r.levels.max()) for r in rankings)
     query = np.repeat(np.arange(len(rankings)), [len(r) for r in rankings])
-    ids, scores, relevance, levels = (
-        np.concatenate([getattr(r, f) for r in rankings])
-        for f in ("candidate_ids", "scores", "relevance", "levels")
-    )
     # ties break by id, and the ids' ranks sort as the ids do
-    columns = (np.unique(ids, return_inverse=True)[1], scores, relevance, levels)
+    ids = string_ranks([i for r in rankings for i in r.candidate_ids])[1]
+    columns = [ids] + [np.concatenate([getattr(r, f) for r in rankings])
+                       for f in ("scores", "relevance", "levels")]
     return evaluate_columns([r.query_id for r in rankings], query, columns, ks, depth)
 
 

@@ -238,20 +238,31 @@ def _check_tree(paths: Iterable[LabelPath]) -> None:
             parent = node
 
 
-
-
 def assign_relevance(
-    levels: np.ndarray, query: np.ndarray, profile: RelevanceProfile, depth: int
+    levels: np.ndarray, query: np.ndarray, profile: RelevanceProfile, depth: int,
+    skip_empty: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Relevance of each candidate under `profile`, and its level.
 
-    `levels[i]` is the common-ancestor level of candidate i with query
-    number `query[i]`; each query's candidate counts per level normalize
-    its relevance. Candidates at a level the profile maps to 0 (an explicit
-    table may) are reassigned to level 0, so that relevance == 0 always
-    means negative.
+    `levels` (a candidate's common-ancestor level with its query) and `query`
+    (that query's number) broadcast together. Each query's candidate counts
+    per level normalize its relevance through `level_table`, which gets
+    `skip_empty`. Level 0 takes relevance 0 under every profile and enters no
+    normalizer. Candidates at a level the profile maps to 0 (an explicit
+    table may) are reassigned to level 0, so relevance 0 always means negative.
     """
     width = depth + 1
-    counts = np.bincount(query * width + levels, minlength=(query.max() + 1) * width)
-    rel = profile.level_table(counts.reshape(-1, width), skip_empty=False)[query, levels]
+    key = (query * width + levels).ravel()
+    counts = np.bincount(key, minlength=(int(np.max(query)) + 1) * width)
+    rel = profile.level_table(counts.reshape(-1, width), skip_empty)[query, levels]
     return rel, np.where(rel > 0, levels, 0)
+
+
+def string_ranks(values: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct strings of `values` in Python's sorted order, and each
+    value's position among them as int64. Ids and labels are ranked here, not
+    as numpy strings, which drop trailing NULs and so tie "a" with "a\\x00".
+    """
+    distinct = sorted(set(values))
+    position = {v: i for i, v in enumerate(distinct)}
+    return distinct, np.fromiter(map(position.__getitem__, values), np.int64, len(values))

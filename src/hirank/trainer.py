@@ -39,7 +39,7 @@ from .losses import (
     cosine_matrix,
 )
 from .metrics import MetricsReport, evaluate_rows
-from .taxonomy import RelevanceProfile, ancestor_levels
+from .taxonomy import RelevanceProfile, ancestor_levels, assign_relevance, string_ranks
 
 HISTORY_FILE = "history.jsonl"
 EMBEDDINGS_FILE = "embeddings.tsv"
@@ -312,19 +312,16 @@ def pairwise_levels(codes: np.ndarray) -> np.ndarray:
 def relevance_rows(levels: np.ndarray, profile: RelevanceProfile, depth: int) -> np.ndarray:
     """Relevance of candidate j for query q, per batch row, diagonal zeroed.
 
-    Each row is normalized over its own candidates, as taxonomy.assign_relevance
-    normalizes each query of `hirank eval`'s per-candidate columns.
-    Weighted profiles drop weight terms whose positive-or-deeper set is
-    empty inside the batch instead of raising: a sampled batch routinely
-    misses levels that the full candidate pool would cover.
+    Each row is one query of `assign_relevance`, whose level 0 drops the
+    diagonal (a row is not its own candidate). Weighted profiles drop weight
+    terms whose positive-or-deeper set is empty inside the batch instead of
+    raising: a sampled batch routinely misses levels that the full candidate
+    pool would cover.
     """
-    b = levels.shape[0]
-    # count whole rows, then take the diagonal (a row against itself) back out
-    counts = np.stack([(levels == l).sum(axis=1) for l in range(depth + 1)], axis=-1)
-    counts[np.arange(b), levels.diagonal()] -= 1
-    rel = np.take_along_axis(profile.level_table(counts, skip_empty=True), levels, axis=1)
-    np.fill_diagonal(rel, 0.0)
-    return rel
+    levels = levels.copy()
+    np.fill_diagonal(levels, 0)
+    query = np.arange(len(levels))[:, None]
+    return assign_relevance(levels, query, profile, depth, skip_empty=True)[0]
 
 
 # --- trainer state -----------------------------------------------------------------
@@ -366,9 +363,8 @@ def init_state(ds: RetrievalDataset, config: TrainerConfig) -> TrainerState:
     train_rows = np.array([ds.row_of[i] for i in ds.train_ids], dtype=np.int64)
     if len(train_rows) == 0:
         raise InsufficientClassesError("no training instances outside the holdout")
-    classes, inverse, counts = np.unique(
-        [ds.taxonomy.leaf(ds.ids[r]) for r in train_rows], return_inverse=True, return_counts=True
-    )
+    classes, inverse = string_ranks([ds.taxonomy.leaf(ds.ids[r]) for r in train_rows])
+    counts = np.bincount(inverse)
     if len(classes) < config.classes_per_batch:
         raise InsufficientClassesError(
             f"batch needs {config.classes_per_batch} classes, dataset has {len(classes)}"
@@ -378,7 +374,7 @@ def init_state(ds: RetrievalDataset, config: TrainerConfig) -> TrainerState:
     # a stable sort keeps each class's rows in train_rows order: the sampler
     # draws positions in these arrays, so their order fixes the batches
     class_rows = np.split(train_rows[np.argsort(inverse, kind="stable")], np.cumsum(counts)[:-1])
-    bank = ProxyBank.random(classes.tolist(), config.dim, rng, sigma=config.sigma)
+    bank = ProxyBank.random(classes, config.dim, rng, sigma=config.sigma)
     if config.model_kind == "table":
         model: TableModel | LinearModel = TableModel(len(ds.ids), config.dim, rng)
     else:
@@ -387,10 +383,9 @@ def init_state(ds: RetrievalDataset, config: TrainerConfig) -> TrainerState:
                 f"config expects {config.in_dim}-d features, dataset has {ds.dim}-d"
             )
         model = LinearModel(ds.features, config.dim, rng)
+    # the rows outside training, in dataset order
     eval_rows = (
-        np.array([ds.row_of[i] for i in ds.holdout_ids_ordered], dtype=np.int64)
-        if ds.holdout_classes
-        else train_rows
+        np.delete(np.arange(len(ds.ids)), train_rows) if ds.holdout_classes else train_rows
     )
     steps_per_epoch = max(1, math.ceil(len(train_rows) / config.batch_size))
     return TrainerState(
@@ -478,7 +473,7 @@ def evaluate_state(state: TrainerState, ds: RetrievalDataset) -> MetricsReport:
     rel = relevance_rows(levels, RelevanceProfile.alpha(1.0), ds.taxonomy.depth)
     ids = [ds.ids[r] for r in rows]
     # ties break by id, and the ids' ranks among themselves sort as the ids do
-    arrays = (np.broadcast_to(np.unique(ids, return_inverse=True)[1], (q, q)), scores, rel, levels)
+    arrays = (np.broadcast_to(string_ranks(ids)[1], (q, q)), scores, rel, levels)
     off = ~np.eye(q, dtype=bool)  # a query is not its own candidate
     return evaluate_rows(
         ids, [(q - 1, range(q))], lambda c: [a[c][off[c]].reshape(len(c), q - 1) for a in arrays],

@@ -9,7 +9,9 @@ import pytest
 
 from hirank import trainer as trainer_mod
 from hirank.cli import main, parse_relevance_flag
-from hirank.dataset import FEATURES_FILE, SPLIT_FILE, TAXONOMY_FILE
+from hirank.dataset import FEATURES_FILE, SPLIT_FILE, TAXONOMY_FILE, load_dataset
+from hirank.losses import cosine_matrix
+from hirank.metrics import ScoredRanking, evaluate_dataset
 from hirank.trainer import EMBEDDINGS_FILE, HISTORY_FILE, REPORT_FILE, STATE_FILE
 
 FIXTURE_TAXONOMY = (
@@ -266,6 +268,29 @@ class TestEvalCommand:
         ])
         assert code == 2
         assert "2 weights for depth 3" in capsys.readouterr().err
+
+    def test_weight_count_is_checked_before_the_scores_are_read(self, tmp_path, capsys):
+        # the taxonomy alone decides the count, so the unknown id is never reached
+        tax, sco = write_eval_inputs(tmp_path, scores=FIXTURE_SCORES + "zz\tc1\t1\n")
+        code = run([
+            "eval", "--taxonomy", str(tax), "--scores", str(sco),
+            "--out", str(tmp_path / "r.json"), "--relevance", "weights:0.5,0.5",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "hirank eval: profile has 2 weights for depth 3\n"
+
+    def test_ties_break_by_the_exact_id_as_in_evaluate_dataset(self, tmp_path):
+        # "a" sorts before "a\x00", so the tied negative "a" comes first
+        tax, sco = write_eval_inputs(
+            tmp_path, taxonomy="q\tr/x\na\x00\tr/x\na\ts/y\n", scores="q\ta\x00\t0.5\nq\ta\t0.5\n"
+        )
+        out = tmp_path / "r.json"
+        assert run(["eval", "--taxonomy", str(tax), "--scores", str(sco),
+                    "--ks", "1", "--out", str(out)]) == 0
+        ranking = ScoredRanking("q", ("a\x00", "a"), [0.5, 0.5], [1.0, 0.0], [2, 0])
+        report = json.loads(out.read_text())
+        assert report == evaluate_dataset([ranking], ks=(1,), depth=2).to_json_dict()
+        assert report["asi"] == report["recall_at_k"]["1"] == 0.0
 
 
 def write_train_inputs(tmp_path, config_over=None):
@@ -734,6 +759,35 @@ def test_non_ascii_ids_under_c_locale(tmp_path):
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert "ñ".encode("utf-8") in outputs[0][EMBEDDINGS_FILE]
     assert outputs[0] == outputs[1]
+
+
+def test_eval_of_the_holdout_scores_gives_the_training_report(tmp_path):
+    data, config_path = write_train_inputs(tmp_path)
+    ds = load_dataset(data)
+    raw = json.loads(config_path.read_text())
+    config = trainer_mod.config_from_dict(raw, depth=ds.taxonomy.depth, in_dim=ds.dim)
+    result = trainer_mod.fit(ds, config)
+    trainer_mod.write_result(result, tmp_path / "run")
+    # the holdout rows, each scored against the others in row order
+    ids = [ds.ids[r] for r in result.state.eval_rows]
+    scores, _, _ = cosine_matrix(result.embeddings[result.state.eval_rows])
+    lines = [f"{ids[q]}\t{ids[c]}\t{float(scores[q, c])!r}\n"
+             for q in range(len(ids)) for c in range(len(ids)) if c != q]
+    (tmp_path / "scores.tsv").write_text("".join(lines))
+    ks = ",".join(map(str, config.recall_ks))
+    assert run(["eval", "--taxonomy", str(data / TAXONOMY_FILE),
+                "--scores", str(tmp_path / "scores.tsv"), "--relevance", "alpha:1",
+                "--ks", ks, "--out", str(tmp_path / "eval.json")]) == 0
+
+    def flat(path):
+        report = json.loads(path.read_text())
+        recall = report.pop("recall_at_k")
+        return report | {f"recall_at_{k}": v for k, v in recall.items()}
+
+    got, want = flat(tmp_path / "eval.json"), flat(tmp_path / "run" / REPORT_FILE)
+    assert want["queries"] == len(ids)
+    assert list(got) == list(want)
+    assert got == pytest.approx(want, abs=1e-12, rel=0)
 
 
 class TestGradcheckCommand:

@@ -41,7 +41,6 @@ class TestRetrievalDataset:
         assert ds.dim == 2
         assert ds.holdout_ids == frozenset({"b1"})
         assert ds.train_ids == ("a1", "a2", "b2")
-        assert ds.holdout_ids_ordered == ("b1",)
 
     def test_feature_lookup(self):
         ds = small_dataset()

@@ -70,6 +70,11 @@ class TestScoredRanking:
         )
         assert [r.candidate_ids[i] for i in r.sorted_order()] == ["c", "a", "b"]
 
+    def test_sorted_order_breaks_ties_by_the_exact_id(self):
+        # "a" sorts before "a\x00"; numpy string arrays drop the NUL and tie them
+        r = ScoredRanking("q", ("a\x00", "a"), [1, 1], [1, 0], [1, 0])
+        assert r.sorted_order() == [1, 0]
+
 
 class TestRankOf:
     def test_top_and_bottom(self):

@@ -21,6 +21,7 @@ from hirank.taxonomy import (
     format_taxonomy,
     parse_taxonomy,
     path_codes,
+    string_ranks,
 )
 
 VEHICLES = (
@@ -234,3 +235,27 @@ class TestRelevanceProfiles:
         perm = rng.permutation(len(levels))
         rel2, _ = relevance(levels[perm], profile, 3, query[perm])
         assert rel2.tolist() == rel[perm].tolist()
+
+    def test_broadcast_rows_match_flat_columns(self):
+        # one query per row, as the trainer passes its batch; row 2 has no
+        # candidate at level 2, so a weighted profile needs skip_empty there
+        levels = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
+        query = np.arange(3)[:, None]
+        profile = RelevanceProfile.weighted_ap((0.4, 0.6))
+        rel, relevelled = assign_relevance(levels, query, profile, 2, skip_empty=True)
+        flat, _ = assign_relevance(
+            levels.ravel(), np.repeat(np.arange(3), 3), profile, 2, skip_empty=True
+        )
+        assert rel.shape == relevelled.shape == (3, 3)
+        assert rel.tolist() == flat.reshape(3, 3).tolist()
+        assert rel[2].tolist() == [0.4, 0.0, 0.0]
+        with pytest.raises(EmptyLevelDivisionError):
+            assign_relevance(levels, query, profile, 2)
+
+
+class TestStringRanks:
+    def test_python_order_over_the_exact_strings(self):
+        distinct, ranks = string_ranks(["b", "a\x00", "a", "b", "é"])
+        assert distinct == ["a", "a\x00", "b", "é"]
+        assert ranks.dtype == np.int64
+        assert ranks.tolist() == [2, 1, 0, 2, 3]

@@ -260,6 +260,25 @@ class TestInitState:
         state = init_state(ds, toy_config())
         assert np.array_equal(state.eval_rows, state.train_rows)
 
+    def test_eval_rows_are_the_holdout_rows_in_dataset_order(self):
+        synth = toy_dataset()
+        order = np.random.default_rng(0).permutation(len(synth.ids))
+        ids = [synth.ids[i] for i in order]
+        ds = RetrievalDataset(synth.taxonomy, ids, synth.features[order], synth.holdout_classes)
+        state = init_state(ds, toy_config())
+        holdout = [r for r, i in enumerate(ids) if ds.taxonomy.leaf(i) in ds.holdout_classes]
+        assert len(holdout) > 1
+        assert state.eval_rows.dtype == np.int64
+        assert state.eval_rows.tolist() == holdout
+
+    def test_leaves_differing_by_a_trailing_nul_get_two_proxies(self):
+        tax = parse_taxonomy("a1\tr/x\na2\tr/x\nb1\tr/x\x00\nb2\tr/x\x00\n")
+        ds = RetrievalDataset(tax, ("a1", "a2", "b1", "b2"), np.eye(4))
+        state = init_state(ds, toy_config(batch_size=4, m_per_class=2))
+        assert state.bank.class_ids == ("x", "x\x00")
+        assert [rows.tolist() for rows in state.class_rows] == [[0, 1], [2, 3]]
+        assert state.labels.tolist() == [0, 0, 1, 1]
+
     def test_proxies_unit_norm(self):
         state = init_state(toy_dataset(), toy_config())
         norms = np.linalg.norm(state.bank.vectors, axis=1)
