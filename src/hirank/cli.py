@@ -6,7 +6,8 @@ gradcheck (finite-difference verification of the analytic gradients).
 
 Exit codes: 0 success, 1 usage or invalid configuration, 2 unreadable or
 inconsistent data or an output that cannot be written, 3 failed numeric
-check or diverged training.
+check or diverged training. The handlers raise; `main` alone maps what they
+raise to its code and prints it as one `hirank <command>: <message>` line.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import dataset as ds_io
 from . import trainer as trainer_mod
@@ -98,29 +100,26 @@ def build_parser() -> _Parser:
     return parser
 
 
-def cmd_synth(args) -> int:
+def _write(path: Path, write: Callable[[], None]) -> None:
+    """`write()`; an OSError from it becomes a data error naming `path`."""
     try:
-        spec = SynthSpec(
-            branching=tuple(_int_list(args.branching)),
-            instances_per_leaf=args.per_leaf,
-            dim=args.dim,
-            level_spread=tuple(_float_list(args.spread)) if args.spread else None,
-            noise=args.noise,
-            holdout_fraction=args.holdout_fraction,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"hirank synth: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    try:
-        ds = generate(spec)
-        ds_io.write_dataset(ds, args.out)
-    except HirankError as exc:
-        print(f"hirank synth: {exc}", file=sys.stderr)
-        return DATA_EXIT
+        write()
     except OSError as exc:
-        print(f"hirank synth: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return DATA_EXIT
+        raise HirankError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def cmd_synth(args) -> int:
+    spec = SynthSpec(
+        branching=tuple(_int_list(args.branching)),
+        instances_per_leaf=args.per_leaf,
+        dim=args.dim,
+        level_spread=tuple(_float_list(args.spread)) if args.spread else None,
+        noise=args.noise,
+        holdout_fraction=args.holdout_fraction,
+        seed=args.seed,
+    )
+    ds = generate(spec)
+    _write(args.out, lambda: ds_io.write_dataset(ds, args.out))
     print(
         f"wrote {len(ds.ids)} instances over {spec.num_leaves} leaf classes "
         f"({len(ds.holdout_classes)} classes held out) to {args.out}"
@@ -129,35 +128,21 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        profile = parse_relevance_flag(args.relevance)
-        ks = _int_list(args.ks)
-        if not ks or any(k < 1 for k in ks):
-            raise ValueError("--ks needs positive integers")
-        if args.threads < 1:
-            raise ValueError("--threads must be >= 1")
-    except ValueError as exc:
-        print(f"hirank eval: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    try:
-        taxonomy = ds_io.read_file(args.taxonomy, parse_taxonomy)
-        profile.level_table([0] * (taxonomy.depth + 1), skip_empty=True)  # checks the weight count
-        table = ds_io.read_file(args.scores, lambda text: read_scores(text, taxonomy))
-        relevance, levels = assign_relevance(table.levels, table.query, profile, taxonomy.depth)
-        # ties break by id, and taxonomy rows sort as the ids do
-        columns = (table.candidate, table.score, relevance, levels)
-        report = evaluate_columns(table.query_ids, table.query, columns, ks, taxonomy.depth)
-    except (HirankError, ValueError) as exc:
-        print(f"hirank eval: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except OSError as exc:
-        print(f"hirank eval: cannot read {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
-        return DATA_EXIT
-    try:
-        ds_io.write_text_atomic(args.out, json.dumps(report.to_json_dict(), indent=2) + "\n")
-    except OSError as exc:
-        print(f"hirank eval: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return DATA_EXIT
+    profile = parse_relevance_flag(args.relevance)
+    ks = _int_list(args.ks)
+    if not ks or any(k < 1 for k in ks):
+        raise ValueError("--ks needs positive integers")
+    if args.threads < 1:
+        raise ValueError("--threads must be >= 1")
+    taxonomy = ds_io.read_file(args.taxonomy, parse_taxonomy)
+    profile.level_table([0] * (taxonomy.depth + 1), skip_empty=True)  # checks the weight count
+    table = ds_io.read_file(args.scores, lambda text: read_scores(text, taxonomy))
+    relevance, levels = assign_relevance(table.levels, table.query, profile, taxonomy.depth)
+    # ties break by id, and taxonomy rows sort as the ids do
+    columns = (table.candidate, table.score, relevance, levels)
+    report = evaluate_columns(table.query_ids, table.query, columns, ks, taxonomy.depth)
+    text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+    _write(args.out, lambda: ds_io.write_text_atomic(args.out, text))
     print(f"queries {report.queries} excluded {report.excluded}")
     for name, value in report.metric_items():
         print(f"{name} {value:.6f}")
@@ -165,56 +150,39 @@ def cmd_eval(args) -> int:
 
 
 def cmd_train(args) -> int:
-    try:
-        ds = ds_io.load_dataset(args.data)
-        raw = ds_io.read_file(args.config, json.loads)
-    except HirankError as exc:
-        print(f"hirank train: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except OSError as exc:
-        print(f"hirank train: cannot read {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
-        return DATA_EXIT
+    ds = ds_io.load_dataset(args.data)
+    raw = ds_io.read_file(args.config, json.loads)
     try:
         config = trainer_mod.config_from_dict(raw, depth=ds.taxonomy.depth, in_dim=ds.dim)
     except ValueError as exc:
-        print(f"hirank train: bad config: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+        raise ValueError(f"bad config: {exc}") from None
     log = (lambda line: None) if args.quiet else print
-    try:
-        result = trainer_mod.fit(ds, config, log=log)
-    except NonFiniteLossError as exc:
-        print(f"hirank train: {exc}", file=sys.stderr)
-        return CHECK_EXIT
-    except HirankError as exc:
-        print(f"hirank train: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    try:
-        trainer_mod.write_result(result, args.out)
-    except OSError as exc:
-        print(f"hirank train: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return DATA_EXIT
+    result = trainer_mod.fit(ds, config, log=log)
+    _write(args.out, lambda: trainer_mod.write_result(result, args.out))
     print(json.dumps(result.history[-1]))
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    if args.trials < 1 or args.eps <= 0 or args.tol <= 0:
-        print("hirank gradcheck: trials, eps and tol must be positive", file=sys.stderr)
-        return USAGE_EXIT
     names = None if args.what == "all" else [args.what]
     results = run_checks(names, trials=args.trials, eps=args.eps, tol=args.tol, seed=args.seed)
     for res in results:
         print(res.line())
     failed = [res for res in results if not res.passed]
     for res in failed:
-        replay = dict(res.worst_config)
-        replay.update({"seed": args.seed, "eps": args.eps, "tol": args.tol})
+        replay = {**res.worst_config, "seed": args.seed, "eps": args.eps, "tol": args.tol}
         print(f"replay: {json.dumps(replay, sort_keys=True)}")
     return 0 if not failed else CHECK_EXIT
 
 
 def main(argv=None) -> int:
+    """Run one command; what it raises becomes one stderr line and an exit code.
+
+    NonFiniteLossError exits 3, any other HirankError 2, an OSError (an input
+    that cannot be read) 2 and a ValueError (a bad flag or config value) 1, so
+    a plain ValueError from a library bug exits 1 with its message.
+    """
     args = build_parser().parse_args(argv)
     handlers = {
         "synth": cmd_synth,
@@ -222,7 +190,18 @@ def main(argv=None) -> int:
         "train": cmd_train,
         "gradcheck": cmd_gradcheck,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except NonFiniteLossError as exc:
+        code, message = CHECK_EXIT, str(exc)
+    except HirankError as exc:
+        code, message = DATA_EXIT, str(exc)
+    except ValueError as exc:
+        code, message = USAGE_EXIT, str(exc)
+    except OSError as exc:
+        code, message = DATA_EXIT, f"cannot read {exc.filename}: {exc.strerror or exc}"
+    print(f"hirank {args.command}: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

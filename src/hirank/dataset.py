@@ -171,8 +171,8 @@ def read_file(path: Path, parse: Callable[[str], T]) -> T:
     """`parse` applied to the UTF-8 text of `path`; every data error names the file.
 
     A HirankError from `parse` keeps its class and gets `path` in front of its
-    message; any other ValueError (a JSON syntax error, say) becomes a
-    MalformedRecordError that reads the same way. OSError passes through.
+    message; any other ValueError (a JSON syntax error, say) or RecursionError
+    (too deep a nesting) becomes a MalformedRecordError. OSError passes through.
     """
     text = read_text(path)
     try:
@@ -180,7 +180,7 @@ def read_file(path: Path, parse: Callable[[str], T]) -> T:
     except HirankError as exc:
         exc.path = path
         raise
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedRecordError(f"{path}: {exc}") from None
 
 

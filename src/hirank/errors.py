@@ -61,6 +61,10 @@ class EmptyLevelDivisionError(HirankError, ValueError):
     """A weighted relevance profile references an empty positive set."""
 
 
+class ProfileDepthError(HirankError, ValueError):
+    """A weighted relevance profile has not one weight per taxonomy level."""
+
+
 # --- metrics ------------------------------------------------------------------
 
 class NoPositivesError(HirankError, ValueError):

@@ -35,6 +35,9 @@ from .losses import (
 
 DEFAULT_EPS = 1e-5
 DEFAULT_TOL = 1e-4
+# combined_trials keeps every score gap 20 eps away from each kink; from this
+# eps on, the margins around the two nearest kinks meet and no draw clears them
+MAX_EPS = float(np.diff(sorted(SmoothHeavisideParams().kinks())).min()) / (2 * 20)
 
 # (analytic gradient, numeric gradient, replay inputs) of one tested gradient
 Trial = tuple[np.ndarray, np.ndarray, dict]
@@ -271,8 +274,17 @@ def run_checks(
     """Run each named family (all by default) from a generator seeded with `seed`.
 
     A family's result carries its largest `max_rel_err` and the replay inputs
-    of the last yield that reached it.
+    of the last yield that reached it. A bad argument raises a ValueError
+    that names it.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0 < eps < MAX_EPS:
+        raise ValueError(f"eps must lie in (0, {MAX_EPS:g}), got {eps!r}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     results = []
     for name in names or list(CHECKS):
         worst_err, worst_config = 0.0, {}

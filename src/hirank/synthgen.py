@@ -49,6 +49,8 @@ class SynthSpec:
             object.__setattr__(self, "level_spread", spread)
         if self.noise is not None and not 0 < self.noise < math.inf:
             raise ValueError("noise must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def depth(self) -> int:

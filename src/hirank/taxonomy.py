@@ -21,6 +21,7 @@ from .errors import (
     EmptyLevelDivisionError,
     MalformedRecordError,
     NonTreeParentageError,
+    ProfileDepthError,
     RaggedDepthError,
     TooFewLeavesError,
     UnknownInstanceError,
@@ -121,9 +122,10 @@ class RelevanceProfile:
     def level_table(self, counts: np.ndarray, skip_empty: bool) -> np.ndarray:
         """Per-level relevance from per-level candidate counts, shape `(..., depth + 1)`.
 
-        A weighted profile divides by the number of candidates at level p or
-        deeper: where there are none it raises EmptyLevelDivisionError, or
-        with `skip_empty` drops that weight term.
+        A weighted profile needs one weight per level (else ProfileDepthError)
+        and divides by the number of candidates at level p or deeper: where
+        there are none it raises EmptyLevelDivisionError, or with `skip_empty`
+        drops that weight term.
         """
         counts = np.asarray(counts)
         depth = counts.shape[-1] - 1
@@ -132,7 +134,7 @@ class RelevanceProfile:
             return np.divide(weight, counts, out=np.zeros(counts.shape), where=counts > 0)
         if self.kind == "weighted-ap":
             if len(self.weights) != depth:
-                raise ValueError(f"profile has {len(self.weights)} weights for depth {depth}")
+                raise ProfileDepthError(f"profile has {len(self.weights)} weights for depth {depth}")
             # upper[..., p-1] = #candidates at level >= p, for p = 1..depth
             upper = np.cumsum(counts[..., ::-1], axis=-1)[..., ::-1][..., 1:]
             weights = np.array(self.weights)

@@ -292,6 +292,21 @@ class TestEvalCommand:
         assert report == evaluate_dataset([ranking], ks=(1,), depth=2).to_json_dict()
         assert report["asi"] == report["recall_at_k"]["1"] == 0.0
 
+    def test_instance_ids_may_hold_a_slash(self, tmp_path):
+        # an id is any field without a tab; only a label path component may not hold "/"
+        reports = []
+        for a, c in [("a/b", "c/d"), ("a_b", "c_d")]:
+            tax, sco = write_eval_inputs(
+                tmp_path,
+                taxonomy=f"{a}\tr/s\n{c}\tr/s\ne\tr/t\nf\tu/v\n",
+                scores=f"{a}\te\t3\n{a}\t{c}\t2\n{a}\tf\t1\n",
+            )
+            out = tmp_path / "r.json"
+            assert run(["eval", "--taxonomy", str(tax), "--scores", str(sco), "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert reports[0] == reports[1]
+        assert reports[0]["queries"] == 1 and reports[0]["h_ap"] < 1.0
+
 
 def write_train_inputs(tmp_path, config_over=None):
     data = tmp_path / "data"
@@ -828,3 +843,52 @@ class TestGradcheckCommand:
         first = capsys.readouterr().out
         assert run(args) == 0
         assert capsys.readouterr().out == first
+
+
+def eval_argv(tmp_path, *flags):
+    tax, sco = write_eval_inputs(tmp_path)
+    return ["eval", "--taxonomy", str(tax), "--scores", str(sco),
+            "--out", str(tmp_path / "r.json"), *flags]
+
+
+def train_argv(tmp_path, config_over=None, config_text=None):
+    data, config = write_train_inputs(tmp_path, config_over)
+    if config_text is not None:
+        config.write_text(config_text)
+    return ["train", "--data", str(data), "--config", str(config),
+            "--out", str(tmp_path / "run"), "--quiet"]
+
+
+def gradcheck_argv(*flags):
+    return ["gradcheck", "--trials", "2", *flags]
+
+
+# (argv from tmp_path, exit code): the inputs that printed a traceback (or
+# ran with a meaningless eps or tol) before every exception went through
+# `main`, then one long-standing case per exit code
+EXIT_CASES = {
+    "synth_negative_seed": (lambda tmp: ["synth", "--out", str(tmp / "d"), "--seed", "-1"], 1),
+    "gradcheck_negative_seed": (lambda tmp: gradcheck_argv("--seed", "-1"), 1),
+    "gradcheck_eps_nan": (lambda tmp: gradcheck_argv("--eps", "nan"), 1),
+    "gradcheck_eps_inf": (lambda tmp: gradcheck_argv("--eps", "inf"), 1),
+    "gradcheck_eps_past_the_heaviside_kinks": (lambda tmp: gradcheck_argv("--eps", "2e-3"), 1),
+    "gradcheck_eps_past_the_combined_margin": (
+        lambda tmp: gradcheck_argv("--eps", "9.9e-4", "--what", "combined"), 1),
+    "gradcheck_tol_nan": (lambda tmp: gradcheck_argv("--tol", "nan"), 1),
+    "gradcheck_tol_inf": (lambda tmp: gradcheck_argv("--tol", "inf"), 1),
+    "train_config_nested_too_deep": (lambda tmp: train_argv(tmp, config_text="[" * 200_000), 2),
+    "eval_bad_ks": (lambda tmp: eval_argv(tmp, "--ks", "0"), 1),
+    "eval_weight_count": (lambda tmp: eval_argv(tmp, "--relevance", "weights:0.5,0.5"), 2),
+    "train_weight_count": (
+        lambda tmp: train_argv(tmp, profile(kind="weighted", weights=[0.2, 0.3, 0.5])), 1),
+    "eval_out_unwritable": (lambda tmp: eval_argv(tmp)[:-1] + [str(tmp / "no" / "r.json")], 2),
+    "train_diverged": (lambda tmp: train_argv(tmp, {"lr0": 1e180}), 3),
+}
+
+
+@pytest.mark.parametrize("make_argv, code", EXIT_CASES.values(), ids=EXIT_CASES.keys())
+def test_error_exits_with_its_code_and_one_line(tmp_path, capsys, make_argv, code):
+    argv = make_argv(tmp_path)
+    assert main(argv) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"hirank {argv[0]}: ")
