@@ -47,15 +47,16 @@ def _float_list(text: str) -> list[float]:
 
 
 def parse_relevance_flag(text: str) -> RelevanceProfile:
-    """Accepts "alpha:A" or "weights:w1,..,wL"."""
+    """Accepts "alpha:A" or "weights:w1,..,wL"; any error names the flag."""
     tag, _, rest = text.partition(":")
-    if tag == "alpha" and rest:
-        return RelevanceProfile.alpha(float(rest))
-    if tag == "weights" and rest:
-        return RelevanceProfile.weighted_ap(tuple(_float_list(rest)))
-    raise ValueError(
-        f"bad --relevance {text!r}: expected alpha:A or weights:w1,..,wL"
-    )
+    try:
+        if tag == "alpha" and rest:
+            return RelevanceProfile.alpha(float(rest))
+        if tag == "weights" and rest:
+            return RelevanceProfile.weighted_ap(tuple(_float_list(rest)))
+        raise ValueError("expected alpha:A or weights:w1,..,wL")
+    except ValueError as exc:
+        raise ValueError(f"bad --relevance {text!r}: {exc}") from None
 
 
 def build_parser() -> _Parser:
@@ -129,9 +130,12 @@ def cmd_synth(args) -> int:
 
 def cmd_eval(args) -> int:
     profile = parse_relevance_flag(args.relevance)
-    ks = _int_list(args.ks)
-    if not ks or any(k < 1 for k in ks):
-        raise ValueError("--ks needs positive integers")
+    try:
+        ks = _int_list(args.ks)
+        if not ks or min(ks) < 1:
+            raise ValueError("expected positive integers")
+    except ValueError as exc:
+        raise ValueError(f"bad --ks {args.ks!r}: {exc}") from None
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
     taxonomy = ds_io.read_file(args.taxonomy, parse_taxonomy)

@@ -1,28 +1,28 @@
 """Exact evaluation of graded ranking metrics, and the scores-file reader.
 
-The single-list metrics operate on a ScoredRanking: one query's candidates
-with cosine (or any) scores, a per-candidate relevance value and the
-common-ancestor level it derives from. Rank comparisons use strict score
-inequality, so tied scores produce no inversion in either direction;
-operations that need a concrete list order (cutoff metrics, set
-intersections) sort by descending score and break ties by ascending
-candidate id.
+The single-list metrics operate on a ScoredRanking: one query's candidates with
+cosine (or any) scores, a per-candidate relevance value and the common-ancestor
+level it derives from. Rank comparisons use strict score inequality, so tied
+scores produce no inversion in either direction; operations that need a
+concrete list order (cutoff metrics, set intersections) sort by descending
+score and break ties by ascending candidate id.
 
 Every kernel reads equal-length lists sorted once into list order (see
 `_sorted_rows`), so a query costs O(n log n) time. The single-list functions
 pass one row; `evaluate_rows` passes chunks of at most `_CHUNK` entries at a
 time. The trainer's holdout eval feeds it rows of its score matrix, and
 `evaluate_columns` feeds it flat per-candidate columns grouped by query:
-the columns `read_scores` reads from a scores file for `hirank eval`, or
-the rankings given to `evaluate_dataset`.
+the rankings given to `evaluate_dataset`, or the columns `read_scores` reads
+from a scores file a block of lines at a time, converting each block's
+columns in bulk; it reads the file line by line only to name an error.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from itertools import count, filterfalse
+from typing import Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .errors import (
     QueryInCandidatesError,
     UnknownInstanceError,
 )
-from .taxonomy import Taxonomy, ancestor_levels, records, string_ranks
+from .taxonomy import Taxonomy, _record_blocks, ancestor_levels, records, string_ranks
 
 # rows x candidates per evaluated chunk: it bounds every kernel's temporaries
 _CHUNK = 8192
@@ -423,47 +423,27 @@ class ScoreTable(NamedTuple):
 
 
 def read_scores(text: str, taxonomy: Taxonomy) -> ScoreTable:
-    """Read `query_id<TAB>candidate_id<TAB>score` records against `taxonomy`.
-
-    A bad score or an id the taxonomy lacks fails at its line; a score that
-    is not finite, a repeated (query, candidate) pair and a query among its
-    own candidates fail once every line has been read.
-    """
-    layout = "query<TAB>candidate<TAB>score"
+    """Read `query_id<TAB>candidate_id<TAB>score` records against `taxonomy`, a block of lines
+    at a time. Errors come in this order: the first malformed line, bad score or unknown id;
+    then the first non-finite score or repeated pair; then a query among its own candidates."""
     row_of = taxonomy.row_of
-    number: dict[str, int] = {}
-    query_rows, query, candidate, score = array("q"), array("q"), array("q"), array("d")
+    number: dict[str, int] = {}  # each query id's number, in order of first appearance
+    blocks = []
     try:
-        for lineno, (query_id, candidate_id, score_text) in records(text, layout):
-            try:
-                value = float(score_text)
-            except ValueError:
-                raise MalformedRecordError(f"line {lineno}: bad score {score_text!r}") from None
-            q = number.get(query_id)
-            if q is None:
-                query_rows.append(row_of[query_id])
-                q = number[query_id] = len(number)
-            query.append(q)
-            candidate.append(row_of[candidate_id])
-            score.append(value)
-    except KeyError as exc:
-        raise UnknownInstanceError(exc.args[0]) from None
-    if not score:
+        for queries, candidates, scores in _record_blocks(text, 3):
+            number.update(zip(filterfalse(number.__contains__, dict.fromkeys(queries)), count(len(number))))
+            blocks.append((np.fromiter(map(number.__getitem__, queries), np.int64),
+                           np.fromiter(map(row_of.__getitem__, candidates), np.int64),
+                           np.fromiter(map(float, scores), np.float64)))
+        query_rows = np.array(list(map(row_of.__getitem__, number)), dtype=np.int64)
+    except (KeyError, ValueError):
+        _raise_score_error(text, row_of)
+    if not number:
         raise EmptyInputError("no score rows")
-    query_rows, query, candidate, score = map(np.asarray, (query_rows, query, candidate, score))
-    pairs = np.sort(query * len(row_of) + candidate)
-    if not np.isfinite(score).all() or np.any(pairs[1:] == pairs[:-1]):
-        # rescan to name the first row with a score that is not finite or that
-        # repeats a (query, candidate) pair
-        seen: set[tuple[str, str]] = set()
-        for lineno, (query_id, candidate_id, score_text) in records(text, layout):
-            if not math.isfinite(float(score_text)):
-                raise MalformedRecordError(f"line {lineno}: score {score_text!r} is not finite")
-            if (query_id, candidate_id) in seen:
-                raise DuplicateInstanceError(
-                    f"line {lineno}: candidate {candidate_id!r} repeated for query {query_id!r}"
-                )
-            seen.add((query_id, candidate_id))
+    query, candidate, score = (np.concatenate(column) for column in zip(*blocks))
+    del blocks  # the columns above copy them; the levels below are the peak
+    if not np.isfinite(score).all() or not np.diff(np.sort(query * len(row_of) + candidate)).all():
+        _raise_score_error(text, row_of)
     own = query[candidate == query_rows[query]]
     if len(own):
         raise QueryInCandidatesError(list(number)[own.min()])
@@ -471,3 +451,22 @@ def read_scores(text: str, taxonomy: Taxonomy) -> ScoreTable:
     levels = ancestor_levels(codes[query_rows[query]], codes[candidate])
     order = np.argsort(query, kind="stable")
     return ScoreTable(list(number), *(a[order] for a in (query, candidate, score, levels)))
+
+
+def _raise_score_error(text: str, row_of: Mapping[str, int]) -> NoReturn:
+    """Raise the first error of a scores text that holds one, in `read_scores`' order."""
+    late, seen = None, set()
+    for lineno, (query, candidate, score) in records(text, "query<TAB>candidate<TAB>score"):
+        try:
+            value = float(score)
+        except ValueError:
+            raise MalformedRecordError(f"line {lineno}: bad score {score!r}") from None
+        for instance_id in filterfalse(row_of.__contains__, (query, candidate)):
+            raise UnknownInstanceError(instance_id)
+        if not math.isfinite(value):
+            late = late or MalformedRecordError(f"line {lineno}: score {score!r} is not finite")
+        elif (query, candidate) in seen:
+            late = late or DuplicateInstanceError(f"line {lineno}: candidate {candidate!r} "
+                                                  f"repeated for query {query!r}")
+        seen.add((query, candidate))
+    raise late

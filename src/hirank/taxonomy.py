@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
 )
 
 LabelPath = tuple[str, ...]
+_BLOCK = 1 << 16  # characters per block of `_record_blocks`: it bounds the strings held at once
 
 
 @dataclass(frozen=True)
@@ -187,6 +189,21 @@ def records(text: str, layout: str) -> Iterator[tuple[int, list[str]]]:
         if len(fields) != width or "" in fields:
             raise MalformedRecordError(f"line {lineno}: expected {layout!r}, got {line!r}")
         yield lineno, fields
+
+
+def _record_blocks(text: str, width: int) -> Iterator[list[list[str]]]:
+    """`records(text, ...)`'s fields as `width` columns per block of about `_BLOCK` characters."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK - 1) + 1 or len(text)
+        block, start = text[start:end], end
+        lines = map(str.rstrip, block.split("\n"), repeat("\r")) if "\r" in block else block.split("\n")
+        lines = list(filter(None, lines))
+        # a "\n" field closes each line: all sit at every (width + 1)th place iff every line fits
+        fields = ("\t\n\t".join(lines) + "\t\n").split("\t") if lines else []
+        if "" in fields or fields[width :: width + 1].count("\n") < len(lines):
+            raise MalformedRecordError("a line does not match the layout; `records` names it")
+        yield [fields[i :: width + 1] for i in range(width)]
 
 
 def parse_taxonomy(text: str) -> Taxonomy:

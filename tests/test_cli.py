@@ -878,6 +878,10 @@ EXIT_CASES = {
     "gradcheck_tol_inf": (lambda tmp: gradcheck_argv("--tol", "inf"), 1),
     "train_config_nested_too_deep": (lambda tmp: train_argv(tmp, config_text="[" * 200_000), 2),
     "eval_bad_ks": (lambda tmp: eval_argv(tmp, "--ks", "0"), 1),
+    "eval_ks_not_an_integer": (lambda tmp: eval_argv(tmp, "--ks", "x"), 1),
+    "eval_relevance_alpha_negative": (lambda tmp: eval_argv(tmp, "--relevance", "alpha:-1"), 1),
+    "eval_relevance_alpha_not_a_number": (lambda tmp: eval_argv(tmp, "--relevance", "alpha:zz"), 1),
+    "eval_relevance_zero_weight": (lambda tmp: eval_argv(tmp, "--relevance", "weights:0.5,0.6,0"), 1),
     "eval_weight_count": (lambda tmp: eval_argv(tmp, "--relevance", "weights:0.5,0.5"), 2),
     "train_weight_count": (
         lambda tmp: train_argv(tmp, profile(kind="weighted", weights=[0.2, 0.3, 0.5])), 1),
@@ -892,3 +896,16 @@ def test_error_exits_with_its_code_and_one_line(tmp_path, capsys, make_argv, cod
     assert main(argv) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"hirank {argv[0]}: ")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--relevance", "alpha:-1", "alpha must be positive, got -1.0"),
+    ("--relevance", "alpha:zz", "could not convert string to float: 'zz'"),
+    ("--relevance", "weights:0.5,0.6,0", "weights must be non-empty and positive"),
+    ("--relevance", "fine:3", "expected alpha:A or weights:w1,..,wL"),
+    ("--ks", "x", "invalid literal for int() with base 10: 'x'"),
+    ("--ks", "1,0", "expected positive integers"),
+])
+def test_an_error_inside_a_flag_value_names_the_flag(tmp_path, capsys, flag, value, message):
+    assert main(eval_argv(tmp_path, flag, value)) == 1
+    assert capsys.readouterr().err == f"hirank eval: bad {flag} {value!r}: {message}\n"

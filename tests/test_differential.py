@@ -29,9 +29,14 @@ The line reader `records` and the four text parsers built on it are checked
 against a plain line loop on generated texts with blank lines, CRLF and lone
 trailing CR line ends, empty fields, a field too many or too few, repeated
 ids and non-ASCII ids: the records accepted, the exception class and the
-line it names must match.
+line it names must match. The blocked scores reader is checked the same way
+at blocks of 1 and 7 characters and its default, shorter and longer than a
+line, on texts that also hold ids the taxonomy lacks, an id with a carriage
+return inside, bad scores and scores that are not finite.
 """
 
+import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -56,7 +61,7 @@ from conftest import (
     oracle_relevance_rows,
     weighted_relevance,
 )
-from hirank import losses, metrics
+from hirank import losses, metrics, taxonomy
 from hirank.errors import (
     AllQueriesEmptyError,
     DuplicateInstanceError,
@@ -64,6 +69,7 @@ from hirank.errors import (
     EmptyLevelDivisionError,
     MalformedRecordError,
     TooFewLeavesError,
+    UnknownInstanceError,
 )
 from hirank.losses import (
     ProxyBank,
@@ -615,7 +621,12 @@ def test_batch_clustering_matches_the_per_row_loop(case):
 # --- the record reader and the text parsers -------------------------------------------
 
 IDS = ["a", "b", "é", "漢"]
-SCORE_TAXONOMY = parse_taxonomy("".join(f"{i}\t{i}\n" for i in ["q", "ß", *IDS]))
+SCORE_TAXONOMY = parse_taxonomy("".join(f"{i}\t{i}\n" for i in ["q", "ß", *IDS, "c\rd"]))
+# the scores fields for the blocked reader: a candidate id with a carriage return inside,
+# and, per field, the values some faulty lines take instead: ids the taxonomy lacks (one with
+# a carriage return inside), bad scores and scores that are not finite
+SCORE_VALUES = [["q", "ß"], [*IDS, "c\rd"], ["1.5", "-2", "0"]]
+SCORE_EXTRAS = [["zz", "a\rb"], ["zz", "a\rb"], ["x", "1.5.", "nan", "inf", "-inf", "1e999"]]
 # per format: the parser, each field's valid values and the key that must not repeat;
 # the values never break a parser's own rules, so only the line rules and repeats fail
 RECORD_FORMATS = {
@@ -628,14 +639,21 @@ RECORD_FORMATS = {
 
 
 @st.composite
-def record_texts(draw, values: list[list[str]]) -> str:
-    """Lines of tab-separated fields drawn from `values`, with the line faults mixed in."""
+def record_texts(draw, values: list[list[str]], extras: list[list[str]] | None = None) -> str:
+    """Lines of tab-separated fields drawn from `values`, with the line faults mixed in;
+    given `extras`, some faulty lines are records with one field drawn from it instead."""
     width = len(values)
     lines = []
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.sampled_from(("record", "record", "record", "blank", "fault")))
         if kind == "blank":
             lines.append(draw(st.sampled_from(("", "\r"))))
+            continue
+        if kind == "fault" and extras and draw(st.booleans()):
+            fields = [draw(st.sampled_from(v)) for v in values]
+            at = draw(st.integers(0, width - 1))
+            fields[at] = draw(st.sampled_from(extras[at]))
+            lines.append("\t".join(fields))
             continue
         count = draw(st.integers(max(1, width - 1), width + 1)) if kind == "fault" else width
         fields = [draw(st.sampled_from(values[min(i, width - 1)])) for i in range(count)]
@@ -650,8 +668,19 @@ def expected_parse(kind: str, text: str):
     """What a parser returns for `text`, as (records, None), or raises, as (class, line)."""
     _, values, key = RECORD_FORMATS[kind]
     accepted, bad = oracle_records(text, len(values))
-    seen, repeat = set(), None
+    if kind == "scores":
+        # a bad score or an id the taxonomy lacks fails at its line, as a malformed line does
+        for lineno, (query, candidate, score) in accepted:
+            if not re.fullmatch(r"-?\d+(\.\d*)?(e\d+)?|nan|-?inf", score):
+                return MalformedRecordError, lineno
+            if not {query, candidate} <= SCORE_TAXONOMY.row_of.keys():
+                return UnknownInstanceError, lineno
+    seen, repeat, late = set(), None, DuplicateInstanceError
     for lineno, fields in accepted:
+        # a score that is not finite counts with the repeats, on its line before them
+        if kind == "scores" and bad is None and not math.isfinite(float(fields[2])):
+            repeat, late = lineno, MalformedRecordError
+            break
         if key(fields) in seen:
             repeat = lineno
             break
@@ -660,7 +689,7 @@ def expected_parse(kind: str, text: str):
     if bad is not None and (kind == "scores" or repeat is None):
         return MalformedRecordError, bad
     if repeat is not None:
-        return DuplicateInstanceError, repeat
+        return late, repeat
     return [fields for _, fields in accepted], None
 
 
@@ -717,3 +746,55 @@ def test_parsers_read_records_like_the_oracle(data, kind):
         assert [table.query_ids[q] for q in table.query] == [f[0] for f in grouped]
         assert [ids[c] for c in table.candidate] == [f[1] for f in grouped]
         assert table.score.tolist() == [float(f[2]) for f in grouped]
+
+
+@DIFFERENTIAL
+@given(st.data(), st.sampled_from(sorted(RECORD_FORMATS)), st.sampled_from([1, 7, taxonomy._BLOCK]))
+def test_record_blocks_match_the_oracle(data, kind, block):
+    values = RECORD_FORMATS[kind][1]
+    text = data.draw(record_texts(values))
+    accepted, bad = oracle_records(text, len(values))
+    rows = []
+    with mock.patch.object(taxonomy, "_BLOCK", block):
+        blocks = taxonomy._record_blocks(text, len(values))
+        if bad is None:
+            rows.extend(row for columns in blocks for row in zip(*columns))
+        else:
+            # the block holding the malformed line fails, and only the lines before it come out
+            with pytest.raises(MalformedRecordError):
+                rows.extend(row for columns in blocks for row in zip(*columns))
+            assert len(rows) <= len(accepted)
+    assert [list(row) for row in rows] == [fields for _, fields in accepted][: len(rows)]
+    assert bad is not None or len(rows) == len(accepted)
+
+
+def score_table_rows(table) -> list[list[str]]:
+    """A ScoreTable's rows as the fields of their records, grouped as the table is."""
+    ids = list(SCORE_TAXONOMY.row_of)
+    return [[table.query_ids[q], ids[c], s] for q, c, s in
+            zip(table.query.tolist(), table.candidate.tolist(), table.score.tolist())]
+
+
+@DIFFERENTIAL
+@given(st.data(), st.sampled_from([1, 7, taxonomy._BLOCK]))
+def test_blocked_scores_reader_matches_the_oracle(data, block):
+    text = data.draw(record_texts(SCORE_VALUES, SCORE_EXTRAS))
+    expected, line = expected_parse("scores", text)
+    with mock.patch.object(taxonomy, "_BLOCK", block):
+        if expected is UnknownInstanceError:
+            fields = dict(oracle_records(text, 3)[0])[line]
+            unknown = next(i for i in fields[:2] if i not in SCORE_TAXONOMY.row_of)
+            with pytest.raises(UnknownInstanceError, match=f"^unknown instance id {re.escape(repr(unknown))}$"):
+                read_scores(text, SCORE_TAXONOMY)
+        elif line is not None:
+            with pytest.raises(expected, match=f"^line {line}: "):
+                read_scores(text, SCORE_TAXONOMY)
+        elif not expected:
+            with pytest.raises(EmptyInputError):
+                read_scores(text, SCORE_TAXONOMY)
+        else:
+            queries = list(dict.fromkeys(q for q, _, _ in expected))
+            grouped = sorted(expected, key=lambda f: queries.index(f[0]))  # stable: file order inside
+            table = read_scores(text, SCORE_TAXONOMY)
+            assert table.query_ids == queries
+            assert score_table_rows(table) == [[q, c, float(s)] for q, c, s in grouped]

@@ -1,5 +1,8 @@
 import json
 import math
+import tracemalloc
+from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +38,7 @@ from hirank.metrics import (
     read_scores,
     recall_at_k,
 )
+from hirank import taxonomy
 from hirank.taxonomy import parse_taxonomy
 
 
@@ -424,6 +428,17 @@ SCORE_TAXONOMY = parse_taxonomy(
 )
 
 
+BLOCK_IDS = [f"i{k:03d}" for k in range(144)]
+BLOCK_TAXONOMY = parse_taxonomy("".join(f"{i}\tL{k % 3}/M{k % 12}/{i}\n" for k, i in enumerate(BLOCK_IDS)))
+
+
+def block_lines() -> list[str]:
+    """20,592 score lines over BLOCK_TAXONOMY, no pair repeated: over 8 blocks of the reader."""
+    lines = [f"{q}\t{c}\t{math.sin(k)!r}" for k, (q, c) in enumerate(permutations(BLOCK_IDS, 2))]
+    assert sum(map(len, lines)) > 8 * taxonomy._BLOCK
+    return lines
+
+
 def parse_scores(text):
     """read_scores over SCORE_TAXONOMY as {query: (candidate ids, scores)}."""
     table = read_scores(text, SCORE_TAXONOMY)
@@ -450,6 +465,10 @@ class TestParseScores:
     def test_unknown_id_fails_before_a_later_bad_line(self):
         with pytest.raises(UnknownInstanceError, match="'zz'"):
             parse_scores("q\tzz\t1\nq\ta\tnot-a-number\nq\ta\n")
+
+    def test_unknown_query_is_named_before_an_unknown_candidate_on_its_line(self):
+        with pytest.raises(UnknownInstanceError, match="^unknown instance id 'zz'$"):
+            parse_scores("q\ta\t1\nzz\tyy\t1\n")
 
     def test_bad_score_names_line(self):
         with pytest.raises(MalformedRecordError, match="line 2"):
@@ -489,3 +508,43 @@ class TestParseScores:
         rows = [("é", "漢", 0.1), ("é", "ø", -1 / 3), ("ß", "漢", 2.0)]
         text = "".join(f"{q}\t{c}\t{s!r}\n" for q, c, s in rows)
         assert parse_scores(text) == {"é": (["漢", "ø"], [0.1, -1 / 3]), "ß": (["漢"], [2.0])}
+
+    def test_bad_score_on_the_last_line_of_many_blocks_names_its_line(self):
+        lines = block_lines()
+        lines[-1] = lines[-1].rsplit("\t", 1)[0] + "\tx"
+        lines[5:5] = ["", "\r"]  # blank lines count in the line numbers
+        with pytest.raises(MalformedRecordError, match=f"^line {len(lines)}: bad score 'x'$"):
+            read_scores("\n".join(lines) + "\n", BLOCK_TAXONOMY)
+
+    def test_unknown_id_in_the_first_block_wins_over_a_malformed_line_in_a_later_one(self):
+        lines = block_lines()
+        lines[1] = "i000\tzz\t1"
+        lines[-1] = "i000\ti001"
+        with pytest.raises(UnknownInstanceError, match="^unknown instance id 'zz'$"):
+            read_scores("\n".join(lines) + "\n", BLOCK_TAXONOMY)
+
+    def test_crlf_and_lf_files_give_equal_tables(self):
+        lines = block_lines()
+        lf = read_scores("\n".join(lines) + "\n", BLOCK_TAXONOMY)
+        crlf = read_scores("\r\n".join(lines) + "\r\n", BLOCK_TAXONOMY)
+        assert lf.query_ids == crlf.query_ids == BLOCK_IDS
+        for a, b in zip(lf[1:], crlf[1:]):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+        assert lf.score.tolist() == [float(line.split("\t")[2]) for line in lines]
+
+    def test_peak_memory_is_a_few_times_the_text_not_every_field_at_once(self):
+        # tracemalloc's peak reads about 4.5x the text's characters here a block at a time,
+        # and about 11x when the whole text is split at once
+        text = "\n".join(block_lines()) + "\n"
+
+        def peak() -> int:
+            tracemalloc.start()
+            try:
+                read_scores(text, BLOCK_TAXONOMY)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak() < 7 * len(text)
+        with mock.patch.object(taxonomy, "_BLOCK", len(text) + 1):
+            assert peak() > 7 * len(text)
