@@ -1,11 +1,12 @@
 """Exact evaluation of graded ranking metrics, and the scores-file reader.
 
-The single-list metrics operate on a ScoredRanking: one query's candidates with
-cosine (or any) scores, a per-candidate relevance value and the common-ancestor
-level it derives from. Rank comparisons use strict score inequality, so tied
-scores produce no inversion in either direction; operations that need a
-concrete list order (cutoff metrics, set intersections) sort by descending
-score and break ties by ascending candidate id.
+The single-list metrics operate on a ScoredRanking: one query's candidates
+with cosine (or any) scores, a per-candidate relevance value and the
+common-ancestor level it derives from. Rank comparisons use strict score
+inequality, so tied scores produce no inversion in either direction;
+operations that need a concrete list order (cutoff metrics, set
+intersections) sort by descending score and break ties by ascending
+candidate id.
 
 Every kernel reads equal-length lists sorted once into list order (see
 `_sorted_rows`), so a query costs O(n log n) time. The single-list functions
@@ -423,18 +424,26 @@ class ScoreTable(NamedTuple):
 
 
 def read_scores(text: str, taxonomy: Taxonomy) -> ScoreTable:
-    """Read `query_id<TAB>candidate_id<TAB>score` records against `taxonomy`, a block of lines
-    at a time. Errors come in this order: the first malformed line, bad score or unknown id;
-    then the first non-finite score or repeated pair; then a query among its own candidates."""
+    """Read `query_id<TAB>candidate_id<TAB>score` records against `taxonomy`.
+
+    The text is read a block of lines at a time (see `_record_blocks`), and
+    each block's columns are converted in bulk. Errors come in this order:
+    the first malformed line, bad score or id the taxonomy lacks, at its line;
+    then the first score that is not finite or repeated (query, candidate)
+    pair, at its line; then a query among its own candidates.
+    """
     row_of = taxonomy.row_of
     number: dict[str, int] = {}  # each query id's number, in order of first appearance
     blocks = []
     try:
         for queries, candidates, scores in _record_blocks(text, 3):
-            number.update(zip(filterfalse(number.__contains__, dict.fromkeys(queries)), count(len(number))))
-            blocks.append((np.fromiter(map(number.__getitem__, queries), np.int64),
-                           np.fromiter(map(row_of.__getitem__, candidates), np.int64),
-                           np.fromiter(map(float, scores), np.float64)))
+            new_queries = filterfalse(number.__contains__, dict.fromkeys(queries))
+            number.update(zip(new_queries, count(len(number))))
+            blocks.append((
+                np.fromiter(map(number.__getitem__, queries), np.int64),
+                np.fromiter(map(row_of.__getitem__, candidates), np.int64),
+                np.fromiter(map(float, scores), np.float64),
+            ))
         query_rows = np.array(list(map(row_of.__getitem__, number)), dtype=np.int64)
     except (KeyError, ValueError):
         _raise_score_error(text, row_of)
@@ -442,7 +451,8 @@ def read_scores(text: str, taxonomy: Taxonomy) -> ScoreTable:
         raise EmptyInputError("no score rows")
     query, candidate, score = (np.concatenate(column) for column in zip(*blocks))
     del blocks  # the columns above copy them; the levels below are the peak
-    if not np.isfinite(score).all() or not np.diff(np.sort(query * len(row_of) + candidate)).all():
+    repeated = not np.diff(np.sort(query * len(row_of) + candidate)).all()
+    if repeated or not np.isfinite(score).all():
         _raise_score_error(text, row_of)
     own = query[candidate == query_rows[query]]
     if len(own):
@@ -461,12 +471,15 @@ def _raise_score_error(text: str, row_of: Mapping[str, int]) -> NoReturn:
             value = float(score)
         except ValueError:
             raise MalformedRecordError(f"line {lineno}: bad score {score!r}") from None
-        for instance_id in filterfalse(row_of.__contains__, (query, candidate)):
-            raise UnknownInstanceError(instance_id)
-        if not math.isfinite(value):
-            late = late or MalformedRecordError(f"line {lineno}: score {score!r} is not finite")
-        elif (query, candidate) in seen:
-            late = late or DuplicateInstanceError(f"line {lineno}: candidate {candidate!r} "
-                                                  f"repeated for query {query!r}")
+        if query not in row_of:
+            raise UnknownInstanceError(query)
+        if candidate not in row_of:
+            raise UnknownInstanceError(candidate)
+        if late is None and not math.isfinite(value):
+            late = MalformedRecordError(f"line {lineno}: score {score!r} is not finite")
+        if late is None and (query, candidate) in seen:
+            late = DuplicateInstanceError(
+                f"line {lineno}: candidate {candidate!r} repeated for query {query!r}"
+            )
         seen.add((query, candidate))
     raise late

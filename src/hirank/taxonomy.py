@@ -197,11 +197,14 @@ def _record_blocks(text: str, width: int) -> Iterator[list[list[str]]]:
     while start < len(text):
         end = text.find("\n", start + _BLOCK - 1) + 1 or len(text)
         block, start = text[start:end], end
-        lines = map(str.rstrip, block.split("\n"), repeat("\r")) if "\r" in block else block.split("\n")
+        lines = block.split("\n")
+        if "\r" in block:
+            lines = map(str.rstrip, lines, repeat("\r"))
         lines = list(filter(None, lines))
-        # a "\n" field closes each line: all sit at every (width + 1)th place iff every line fits
+        # a "\n" field closes each line, and the fields from the (width + 1)th on, at a
+        # stride of width + 1, are exactly one "\n" per line iff every line has `width` fields
         fields = ("\t\n\t".join(lines) + "\t\n").split("\t") if lines else []
-        if "" in fields or fields[width :: width + 1].count("\n") < len(lines):
+        if "" in fields or fields[width :: width + 1] != ["\n"] * len(lines):
             raise MalformedRecordError("a line does not match the layout; `records` names it")
         yield [fields[i :: width + 1] for i in range(width)]
 

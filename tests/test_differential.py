@@ -655,8 +655,11 @@ def record_texts(draw, values: list[list[str]], extras: list[list[str]] | None =
             fields[at] = draw(st.sampled_from(extras[at]))
             lines.append("\t".join(fields))
             continue
-        count = draw(st.integers(max(1, width - 1), width + 1)) if kind == "fault" else width
-        fields = [draw(st.sampled_from(values[min(i, width - 1)])) for i in range(count)]
+        # a fault of 2 * width + 1 fields holds two records and a field between them
+        counts = st.integers(max(1, width - 1), width + 1) | st.just(2 * width + 1)
+        count = draw(counts) if kind == "fault" else width
+        fields = [draw(st.sampled_from(values[min(i % (width + 1), width - 1)]))
+                  for i in range(count)]
         if kind == "fault" and draw(st.booleans()):
             fields[draw(st.integers(0, count - 1))] = ""
         lines.append("\t".join(fields))
@@ -766,6 +769,20 @@ def test_record_blocks_match_the_oracle(data, kind, block):
             assert len(rows) <= len(accepted)
     assert [list(row) for row in rows] == [fields for _, fields in accepted][: len(rows)]
     assert bad is not None or len(rows) == len(accepted)
+
+
+@pytest.mark.parametrize("block", [1, 7, taxonomy._BLOCK])
+@pytest.mark.parametrize("kind, line", [
+    ("scores", "q\ta\t1\tJUNK\tq\tb\t2"),
+    ("taxonomy", "a\tr/x\tJUNK\tb\tr/y"),
+    ("split", "x\tJUNK\ty"),
+])
+def test_record_blocks_reject_two_records_and_a_field_between_on_one_line(kind, line, block):
+    width = len(RECORD_FORMATS[kind][1])
+    text = f"{line}\n"
+    assert oracle_records(text, width) == ([], 1)
+    with mock.patch.object(taxonomy, "_BLOCK", block), pytest.raises(MalformedRecordError):
+        list(taxonomy._record_blocks(text, width))
 
 
 def score_table_rows(table) -> list[list[str]]:

@@ -429,7 +429,9 @@ SCORE_TAXONOMY = parse_taxonomy(
 
 
 BLOCK_IDS = [f"i{k:03d}" for k in range(144)]
-BLOCK_TAXONOMY = parse_taxonomy("".join(f"{i}\tL{k % 3}/M{k % 12}/{i}\n" for k, i in enumerate(BLOCK_IDS)))
+BLOCK_TAXONOMY = parse_taxonomy(
+    "".join(f"{i}\tL{k % 3}/M{k % 12}/{i}\n" for k, i in enumerate(BLOCK_IDS))
+)
 
 
 def block_lines() -> list[str]:
@@ -508,6 +510,10 @@ class TestParseScores:
         rows = [("é", "漢", 0.1), ("é", "ø", -1 / 3), ("ß", "漢", 2.0)]
         text = "".join(f"{q}\t{c}\t{s!r}\n" for q, c, s in rows)
         assert parse_scores(text) == {"é": (["漢", "ø"], [0.1, -1 / 3]), "ß": (["漢"], [2.0])}
+
+    def test_two_records_and_a_field_between_on_one_line_are_malformed(self):
+        with pytest.raises(MalformedRecordError, match="^line 2: "):
+            parse_scores("q\tc\t1\nq\ta\t1\tJUNK\tq\tb\t2\n")
 
     def test_bad_score_on_the_last_line_of_many_blocks_names_its_line(self):
         lines = block_lines()
