@@ -46,17 +46,22 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x != ""]
 
 
-def parse_relevance_flag(text: str) -> RelevanceProfile:
-    """Accepts "alpha:A" or "weights:w1,..,wL"; any error names the flag."""
-    tag, _, rest = text.partition(":")
+def _flag(name: str, text: str, parse: Callable[[str], object]):
+    """`parse(text)`; a ValueError from it names the flag and its text."""
     try:
-        if tag == "alpha" and rest:
-            return RelevanceProfile.alpha(float(rest))
-        if tag == "weights" and rest:
-            return RelevanceProfile.weighted_ap(tuple(_float_list(rest)))
-        raise ValueError("expected alpha:A or weights:w1,..,wL")
+        return parse(text)
     except ValueError as exc:
-        raise ValueError(f"bad --relevance {text!r}: {exc}") from None
+        raise ValueError(f"bad {name} {text!r}: {exc}") from None
+
+
+def parse_relevance_flag(text: str) -> RelevanceProfile:
+    """Accepts "alpha:A" or "weights:w1,..,wL"."""
+    tag, _, rest = text.partition(":")
+    if tag == "alpha" and rest:
+        return RelevanceProfile.alpha(float(rest))
+    if tag == "weights" and rest:
+        return RelevanceProfile.weighted_ap(tuple(_float_list(rest)))
+    raise ValueError("expected alpha:A or weights:w1,..,wL")
 
 
 def build_parser() -> _Parser:
@@ -111,10 +116,10 @@ def _write(path: Path, write: Callable[[], None]) -> None:
 
 def cmd_synth(args) -> int:
     spec = SynthSpec(
-        branching=tuple(_int_list(args.branching)),
+        branching=tuple(_flag("--branching", args.branching, _int_list)),
         instances_per_leaf=args.per_leaf,
         dim=args.dim,
-        level_spread=tuple(_float_list(args.spread)) if args.spread else None,
+        level_spread=tuple(_flag("--spread", args.spread, _float_list)) if args.spread else None,
         noise=args.noise,
         holdout_fraction=args.holdout_fraction,
         seed=args.seed,
@@ -129,13 +134,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    profile = parse_relevance_flag(args.relevance)
-    try:
-        ks = _int_list(args.ks)
-        if not ks or min(ks) < 1:
-            raise ValueError("expected positive integers")
-    except ValueError as exc:
-        raise ValueError(f"bad --ks {args.ks!r}: {exc}") from None
+    profile = _flag("--relevance", args.relevance, parse_relevance_flag)
+    ks = _flag("--ks", args.ks, _int_list)
+    if not ks or min(ks) < 1:
+        raise ValueError(f"bad --ks {args.ks!r}: expected positive integers")
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
     taxonomy = ds_io.read_file(args.taxonomy, parse_taxonomy)

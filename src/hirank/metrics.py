@@ -457,10 +457,11 @@ def read_scores(text: str, taxonomy: Taxonomy) -> ScoreTable:
     own = query[candidate == query_rows[query]]
     if len(own):
         raise QueryInCandidatesError(list(number)[own.min()])
-    codes = taxonomy.row_codes
-    levels = ancestor_levels(codes[query_rows[query]], codes[candidate])
     order = np.argsort(query, kind="stable")
-    return ScoreTable(list(number), *(a[order] for a in (query, candidate, score, levels)))
+    query, candidate, score = query[order], candidate[order], score[order]
+    del order  # the levels below are the reader's memory peak
+    levels = ancestor_levels(taxonomy.row_codes, query_rows[query], candidate)
+    return ScoreTable(list(number), query, candidate, score, levels)
 
 
 def _raise_score_error(text: str, row_of: Mapping[str, int]) -> NoReturn:

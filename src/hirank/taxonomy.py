@@ -166,12 +166,18 @@ def path_codes(paths: Sequence[LabelPath], depth: int) -> np.ndarray:
     return np.array(codes, dtype=np.int64).reshape(len(paths), depth)
 
 
-def ancestor_levels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Level of the deepest ancestor shared by encoded paths `a` and `b`.
+def ancestor_levels(codes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Level of the deepest ancestor shared by rows `a` and `b` of `codes`.
 
-    Codes run along the last axis; the leading axes broadcast.
+    `codes` holds encoded paths (see `path_codes`). The row indices broadcast,
+    and one level column is compared at a time: no (..., depth) array is built.
     """
-    return np.cumprod(a == b, axis=-1).sum(axis=-1)
+    shared = np.ones(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=bool)
+    level = np.zeros(shared.shape, dtype=np.int64)
+    for column in codes.T:
+        shared &= column[a] == column[b]
+        level += shared
+    return level
 
 
 def records(text: str, layout: str) -> Iterator[tuple[int, list[str]]]:

@@ -306,7 +306,8 @@ def _make_optimizer(config: TrainerConfig):
 
 def pairwise_levels(codes: np.ndarray) -> np.ndarray:
     """Deepest shared ancestor level for every pair of encoded paths."""
-    return ancestor_levels(codes[:, None, :], codes[None, :, :])
+    rows = np.arange(len(codes))
+    return ancestor_levels(codes, rows[:, None], rows[None, :])
 
 
 def relevance_rows(levels: np.ndarray, profile: RelevanceProfile, depth: int) -> np.ndarray:

@@ -868,6 +868,10 @@ def gradcheck_argv(*flags):
 # `main`, then one long-standing case per exit code
 EXIT_CASES = {
     "synth_negative_seed": (lambda tmp: ["synth", "--out", str(tmp / "d"), "--seed", "-1"], 1),
+    "synth_branching_not_an_integer": (
+        lambda tmp: ["synth", "--out", str(tmp / "d"), "--branching", "x"], 1),
+    "synth_spread_not_a_number": (
+        lambda tmp: ["synth", "--out", str(tmp / "d"), "--spread", "a,b"], 1),
     "gradcheck_negative_seed": (lambda tmp: gradcheck_argv("--seed", "-1"), 1),
     "gradcheck_eps_nan": (lambda tmp: gradcheck_argv("--eps", "nan"), 1),
     "gradcheck_eps_inf": (lambda tmp: gradcheck_argv("--eps", "inf"), 1),
@@ -909,3 +913,14 @@ def test_error_exits_with_its_code_and_one_line(tmp_path, capsys, make_argv, cod
 def test_an_error_inside_a_flag_value_names_the_flag(tmp_path, capsys, flag, value, message):
     assert main(eval_argv(tmp_path, flag, value)) == 1
     assert capsys.readouterr().err == f"hirank eval: bad {flag} {value!r}: {message}\n"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--branching", "x", "invalid literal for int() with base 10: 'x'"),
+    ("--branching", "4,,2.5", "invalid literal for int() with base 10: '2.5'"),
+    ("--spread", "a,b", "could not convert string to float: 'a'"),
+])
+def test_an_error_inside_a_synth_flag_value_names_the_flag(tmp_path, capsys, flag, value, message):
+    assert main(["synth", "--out", str(tmp_path / "d"), flag, value]) == 1
+    assert capsys.readouterr().err == f"hirank synth: bad {flag} {value!r}: {message}\n"
+    assert not (tmp_path / "d").exists()

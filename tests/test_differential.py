@@ -10,7 +10,8 @@ chunks from one row up; the trainer's holdout report against
 
 The vectorized ancestor levels and relevance-profile tables are checked the
 same way, for exact equality: levels on identical paths, depth 1 and paths
-sharing no root; profile tables on batches with an empty level and on
+sharing no root, and `ancestor_levels` on scalar, flat and (b, 1) x (1, c)
+row indices over labels repeated under different parents; profile tables on batches with an empty level and on
 queries without a single in-batch positive.
 
 The training losses are checked against plain loops too: the H-AP surrogate
@@ -37,6 +38,7 @@ return inside, bad scores and scores that are not finite.
 
 import math
 import re
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -92,6 +94,7 @@ from hirank.metrics import (
 )
 from hirank.taxonomy import (
     RelevanceProfile,
+    ancestor_levels,
     assign_relevance,
     parse_taxonomy,
     path_codes,
@@ -285,6 +288,39 @@ def test_vectorized_levels_match_the_oracle(case):
     queries = [int(table.query_ids[q][1:]) for q in table.query]
     candidates = [int(ids[c][1:]) for c in table.candidate]
     assert np.array_equal(table.levels, expect[queries, candidates])
+
+
+@st.composite
+def level_lookups(draw):
+    """A code table of 1-8 paths of depth 1-4, and two row indices of one shape:
+    scalars, (n,) arrays, or (b, 1) against (1, c). Labels come from "ab" at
+    every level, so a label repeats under different parents, and two paths can
+    share a deeper label without sharing the levels above it."""
+    depth = draw(st.integers(1, 4))
+    path = st.lists(st.sampled_from("ab"), min_size=depth, max_size=depth).map(tuple)
+    paths = draw(st.lists(path, min_size=1, max_size=8))
+    row = st.integers(0, len(paths) - 1)
+    shape = draw(st.sampled_from(("scalar", "flat", "grid")))
+    if shape == "scalar":
+        return paths, draw(row), draw(row)
+    as_rows = partial(np.array, dtype=np.int64)
+    rows = st.lists(row, min_size=0 if shape == "flat" else 1, max_size=10).map(as_rows)
+    a = draw(rows)
+    if shape == "flat":
+        return paths, a, draw(st.lists(row, min_size=len(a), max_size=len(a)).map(as_rows))
+    return paths, a[:, None], draw(rows)[None, :]
+
+
+@DIFFERENTIAL
+@given(level_lookups())
+def test_ancestor_levels_match_the_oracle(case):
+    paths, a, b = case
+    levels = ancestor_levels(path_codes(paths, len(paths[0])), a, b)
+    expect = np.vectorize(
+        lambda i, j: oracle_ancestor_level(paths[i], paths[j]), otypes=[np.int64]
+    )(a, b)
+    assert levels.dtype == np.int64 and levels.shape == expect.shape
+    assert np.array_equal(levels, expect)
 
 
 # --- relevance profiles ---------------------------------------------------------------

@@ -434,6 +434,12 @@ BLOCK_TAXONOMY = parse_taxonomy(
 )
 
 
+ALL_PAIRS_IDS = [f"img{k:05d}" for k in range(320)]
+ALL_PAIRS_TAXONOMY = parse_taxonomy(
+    "".join(f"{i}\tL{k % 4}/M{k % 16}/N{k % 64}\n" for k, i in enumerate(ALL_PAIRS_IDS))
+)
+
+
 def block_lines() -> list[str]:
     """20,592 score lines over BLOCK_TAXONOMY, no pair repeated: over 8 blocks of the reader."""
     lines = [f"{q}\t{c}\t{math.sin(k)!r}" for k, (q, c) in enumerate(permutations(BLOCK_IDS, 2))]
@@ -539,7 +545,7 @@ class TestParseScores:
         assert lf.score.tolist() == [float(line.split("\t")[2]) for line in lines]
 
     def test_peak_memory_is_a_few_times_the_text_not_every_field_at_once(self):
-        # tracemalloc's peak reads about 4.5x the text's characters here a block at a time,
+        # tracemalloc's peak reads about 2.9x the text's characters here a block at a time,
         # and about 11x when the whole text is split at once
         text = "\n".join(block_lines()) + "\n"
 
@@ -554,3 +560,21 @@ class TestParseScores:
         assert peak() < 7 * len(text)
         with mock.patch.object(taxonomy, "_BLOCK", len(text) + 1):
             assert peak() > 7 * len(text)
+
+    def test_peak_memory_of_an_all_pairs_text_is_under_twice_its_characters(self):
+        # 102,080 rows of about 38 characters, like `hirank eval`'s input. The four
+        # columns take 32 bytes a row, and comparing one level column at a time
+        # keeps the levels' temporaries near that (two gathered (rows, depth)
+        # code arrays and their cumprod read 3.3x)
+        lines = (f"{q}\t{c}\t{math.sin(k)!r}"
+                 for k, (q, c) in enumerate(permutations(ALL_PAIRS_IDS, 2)))
+        text = "\n".join(lines) + "\n"
+        ALL_PAIRS_TAXONOMY.row_codes  # built once, outside the measurement
+        tracemalloc.start()
+        try:
+            table = read_scores(text, ALL_PAIRS_TAXONOMY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table.query) == 320 * 319
+        assert peak <= 2 * len(text)

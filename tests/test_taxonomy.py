@@ -89,7 +89,7 @@ class TestParseTaxonomy:
 
 def level_of(path_a, path_b) -> int:
     codes = path_codes([path_a, path_b], len(path_a))
-    return int(ancestor_levels(codes[0], codes[1]))
+    return int(ancestor_levels(codes, 0, 1))
 
 
 class TestAncestorLevel:
@@ -136,7 +136,8 @@ class TestBuildPartition:
         tax = parse_taxonomy(VEHICLES)
         ids = ["lada9", "prius4", "boat1"]
         table = read_scores(scores_text("lada2", ids), tax)
-        expected = ancestor_levels(tax.codes(["lada2"]), tax.codes(ids))
+        rows = [tax.row_of[i] for i in ids]
+        expected = ancestor_levels(tax.row_codes, tax.row_of["lada2"], rows)
         assert table.levels.tolist() == expected.tolist()
 
 
