@@ -427,10 +427,11 @@ def read_scores(text: str, taxonomy: Taxonomy) -> ScoreTable:
     """Read `query_id<TAB>candidate_id<TAB>score` records against `taxonomy`.
 
     The text is read a block of lines at a time (see `_record_blocks`), and
-    each block's columns are converted in bulk. Errors come in this order:
-    the first malformed line, bad score or id the taxonomy lacks, at its line;
-    then the first score that is not finite or repeated (query, candidate)
-    pair, at its line; then a query among its own candidates.
+    each block's columns are converted in bulk; `ancestor_levels` then compares
+    query and candidate rows one level column at a time. Errors come in this
+    order: the first malformed line, bad score or id the taxonomy lacks, at its
+    line; then the first score that is not finite or repeated (query,
+    candidate) pair, at its line; then a query among its own candidates.
     """
     row_of = taxonomy.row_of
     number: dict[str, int] = {}  # each query id's number, in order of first appearance

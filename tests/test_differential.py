@@ -11,8 +11,9 @@ chunks from one row up; the trainer's holdout report against
 The vectorized ancestor levels and relevance-profile tables are checked the
 same way, for exact equality: levels on identical paths, depth 1 and paths
 sharing no root, and `ancestor_levels` on scalar, flat and (b, 1) x (1, c)
-row indices over labels repeated under different parents; profile tables on batches with an empty level and on
-queries without a single in-batch positive.
+row indices over labels repeated under different parents; profile tables
+on batches with an empty level and on queries without a single in-batch
+positive.
 
 The training losses are checked against plain loops too: the H-AP surrogate
 on tied lists with negatives, one candidate, all-equal and arbitrary
@@ -20,8 +21,9 @@ relevance; its score gradient, and the batched rank loss with its embedding
 gradient against one query at a time, also on many distinct relevance
 values, score gaps in the linear tail and the saturated sigmoid, queries
 without a positive, and chunk sizes down to one positive per chunk, with
-every floating-point warning raised as an error; the surrogate again with
-candidates at the edges of its smooth steps' ranges and 1 ulp either side;
+every floating-point warning raised as an error, and its order among tied
+candidates bit for bit against every sort made stable; the surrogate again
+with candidates at the edges of its smooth steps' ranges and 1 ulp either side;
 the rank loss again on a batch of 64 over a depth-3 taxonomy; the batch
 clustering loss against one softmax per row, for a batch of one, repeated
 labels and a batch from a single class.
@@ -494,6 +496,28 @@ def test_surrogate_gradient_matches_its_oracle(case, chunk):
     assert out.value == pytest.approx(oracle_hap_surrogate(scores, rel, params), abs=1e-12)
     expected = oracle_hap_surrogate_grad(scores, rel, params)
     assert_close_to_largest(out.d_scores, expected, steepest_share(rel, params))
+
+
+def test_surrogate_keeps_a_stable_sorts_order_among_tied_candidates():
+    """Candidates tied in relevance and score are equal but not interchangeable
+    bit for bit: in chunks of one positive, two tied positives sum their
+    gradient terms in different orders. The kernel keeps lexsort's column order
+    among them, so its outputs equal those made with every sort stable."""
+    rng = np.random.default_rng(5)
+    argsort = np.argsort
+
+    def stable_argsort(a, axis=-1, kind=None):
+        return argsort(a, axis=axis, kind="stable")
+
+    for _ in range(60):
+        scores = rng.choice(rng.normal(size=3) * 0.05, size=(8, 40))
+        rel = rng.choice(np.append(rng.uniform(0.1, 3.0, size=2).round(3), 0.0), size=(8, 40))
+        rel[:, 0] = 1.0
+        with mock.patch.object(losses, "_CHUNK", 64):
+            value, d_scores = losses._surrogate_rows(scores, rel, SmoothHeavisideParams())
+            with mock.patch.object(np, "argsort", stable_argsort):
+                expected = losses._surrogate_rows(scores, rel, SmoothHeavisideParams())
+        assert np.array_equal(value, expected[0]) and np.array_equal(d_scores, expected[1])
 
 
 @st.composite
