@@ -234,18 +234,9 @@ def _surrogate_block(scores, relevance, params: SmoothHeavisideParams, floats, i
     gradient into `d_scores` and returns the values."""
     m, n = scores.shape
     total = relevance.sum(axis=1)
-    # lexsort's (relevance, score, column) order: a sort by score, stable only if
-    # scores tie (their order can move a gradient's last bit), then by relevance
-    order = np.argsort(scores, axis=1)
-    s = np.take_along_axis(scores, order, axis=1)
-    if (s[:, 1:] == s[:, :-1]).any():
-        order = np.argsort(scores, axis=1, kind="stable")
-        s = np.take_along_axis(scores, order, axis=1)
-    r = np.take_along_axis(relevance, order, axis=1)
-    by_relevance = np.argsort(r, axis=1, kind="stable")
-    order = np.take_along_axis(order, by_relevance, axis=1)
-    s = np.take_along_axis(s, by_relevance, axis=1).ravel()
-    r = np.take_along_axis(r, by_relevance, axis=1).ravel()
+    order = np.lexsort((scores, relevance), axis=1)
+    s = np.take_along_axis(scores, order, axis=1).ravel()
+    r = np.take_along_axis(relevance, order, axis=1).ravel()
     # runs of equal relevance (groups) and of equal (relevance, score); a row
     # start opens both
     new_group = np.empty(m * n, dtype=bool)

@@ -459,7 +459,10 @@ def read_scores(text: str, taxonomy: Taxonomy) -> ScoreTable:
     if len(own):
         raise QueryInCandidatesError(list(number)[own.min()])
     order = np.argsort(query, kind="stable")
-    query, candidate, score = query[order], candidate[order], score[order]
+    # one column at a time, so each unordered column goes once its copy exists
+    query = query[order]
+    candidate = candidate[order]
+    score = score[order]
     del order  # the levels below are the reader's memory peak
     levels = ancestor_levels(taxonomy.row_codes, query_rows[query], candidate)
     return ScoreTable(list(number), query, candidate, score, levels)

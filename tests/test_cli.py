@@ -868,10 +868,6 @@ def gradcheck_argv(*flags):
 # `main`, then one long-standing case per exit code
 EXIT_CASES = {
     "synth_negative_seed": (lambda tmp: ["synth", "--out", str(tmp / "d"), "--seed", "-1"], 1),
-    "synth_branching_not_an_integer": (
-        lambda tmp: ["synth", "--out", str(tmp / "d"), "--branching", "x"], 1),
-    "synth_spread_not_a_number": (
-        lambda tmp: ["synth", "--out", str(tmp / "d"), "--spread", "a,b"], 1),
     "gradcheck_negative_seed": (lambda tmp: gradcheck_argv("--seed", "-1"), 1),
     "gradcheck_eps_nan": (lambda tmp: gradcheck_argv("--eps", "nan"), 1),
     "gradcheck_eps_inf": (lambda tmp: gradcheck_argv("--eps", "inf"), 1),

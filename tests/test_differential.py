@@ -502,7 +502,8 @@ def test_surrogate_keeps_a_stable_sorts_order_among_tied_candidates():
     """Candidates tied in relevance and score are equal but not interchangeable
     bit for bit: in chunks of one positive, two tied positives sum their
     gradient terms in different orders. The kernel keeps lexsort's column order
-    among them, so its outputs equal those made with every sort stable."""
+    among them, so its outputs equal those made with every sort stable: a sort
+    by score that is not stable fails here."""
     rng = np.random.default_rng(5)
     argsort = np.argsort
 
