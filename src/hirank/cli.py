@@ -159,13 +159,13 @@ def cmd_train(args) -> int:
     ds = ds_io.load_dataset(args.data)
     raw = ds_io.read_file(args.config, json.loads)
     try:
-        config = trainer_mod.config_from_dict(raw, depth=ds.taxonomy.depth, in_dim=ds.dim)
+        config = trainer_mod.config_from_dict(raw, depth=ds.taxonomy.depth)
     except ValueError as exc:
         raise ValueError(f"bad config: {exc}") from None
     log = (lambda line: None) if args.quiet else print
     result = trainer_mod.fit(ds, config, log=log)
     _write(args.out, lambda: trainer_mod.write_result(result, args.out))
-    print(json.dumps(result.history[-1]))
+    print(json.dumps(result.state.history[-1]))
     print(f"wrote {args.out}")
     return 0
 

@@ -140,13 +140,13 @@ class LossGradients:
 
 
 def hap_surrogate(
-    ranking,
-    relevance=None,
+    scores,
+    relevance,
     params: SmoothHeavisideParams = SmoothHeavisideParams(),
 ) -> LossGradients:
     """Smooth upper bound on 1 - h_ap for one query, with its score gradient.
 
-    Accepts a ScoredRanking, or a raw scores array plus a relevance array.
+    Takes the candidates' scores and relevance as two 1-d arrays.
     For each positive k the graded rank fraction is rebuilt from four parts:
     comparisons against strictly more relevant candidates (numerator,
     smoothed low), against strictly less relevant ones (denominator,
@@ -154,12 +154,8 @@ def hap_surrogate(
     reordering inside an equal-relevance group never changes the metric, so
     these terms are constants of the ranking and carry no gradient).
     """
-    if relevance is None:
-        scores = np.asarray(ranking.scores, dtype=np.float64)
-        relevance = np.asarray(ranking.relevance, dtype=np.float64)
-    else:
-        scores = np.asarray(ranking, dtype=np.float64)
-        relevance = np.asarray(relevance, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    relevance = np.asarray(relevance, dtype=np.float64)
     if scores.shape != relevance.shape or scores.ndim != 1:
         raise ValueError("scores and relevance must be 1-d arrays of equal length")
     _check_rows(scores, relevance)

@@ -25,7 +25,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -99,7 +99,6 @@ class TrainerConfig:
 
     model_kind: str = _key("model.kind", "linear", None, rule=_one_of("table", "linear"))
     dim: int = _key("model.dim", 8, _integer, rule=_AT_LEAST[2])
-    in_dim: int | None = _key("model.in_dim", None, lambda v: None if v is None else _integer(v))
     optimizer_kind: str = _key("optimizer.kind", "adam", None, rule=_one_of("sgd", "adam"))
     momentum: float = _key("optimizer.momentum", 0.0, rule=_UNIT)
     beta1: float = _key("optimizer.beta1", 0.9, rule=_UNIT)
@@ -192,11 +191,10 @@ def _profile(spec: dict, depth: int) -> RelevanceProfile:
     return profile
 
 
-def config_from_dict(raw: dict, depth: int, in_dim: int | None = None) -> TrainerConfig:
+def config_from_dict(raw: dict, depth: int) -> TrainerConfig:
     """Build a TrainerConfig from a plain JSON-style dict; every error is a
     ValueError naming its key. `depth` resolves level-dependent profiles and
-    must match a weighted profile's weight count. `in_dim`, the dataset's
-    feature width, fills in the linear model's input width or must equal it.
+    must match a weighted profile's weight count.
     """
     given = _config_values(raw)
 
@@ -207,12 +205,7 @@ def config_from_dict(raw: dict, depth: int, in_dim: int | None = None) -> Traine
     values["profile"] = _profile(inside("objective.profile"), depth)
     values["heaviside"] = _build("objective.heaviside", SmoothHeavisideParams,
                                  **inside("objective.heaviside"))
-    if values.get("in_dim") is None:
-        values["in_dim"] = in_dim
-    config = TrainerConfig(**values)
-    if config.model_kind == "linear" and in_dim is not None and config.in_dim != in_dim:
-        raise ValueError(f"model.in_dim must equal the feature width {in_dim}, got {config.in_dim}")
-    return config
+    return TrainerConfig(**values)
 
 
 # --- models -------------------------------------------------------------------
@@ -379,10 +372,6 @@ def init_state(ds: RetrievalDataset, config: TrainerConfig) -> TrainerState:
     if config.model_kind == "table":
         model: TableModel | LinearModel = TableModel(len(ds.ids), config.dim, rng)
     else:
-        if config.in_dim is not None and config.in_dim != ds.dim:
-            raise ValueError(
-                f"config expects {config.in_dim}-d features, dataset has {ds.dim}-d"
-            )
         model = LinearModel(ds.features, config.dim, rng)
     # the rows outside training, in dataset order
     eval_rows = (
@@ -405,9 +394,10 @@ def init_state(ds: RetrievalDataset, config: TrainerConfig) -> TrainerState:
     )
 
 
-def sample_batch(state: TrainerState, ds: RetrievalDataset) -> list[str]:
-    """Class-balanced draw: classes without replacement, instances within
-    a class without replacement when it is large enough."""
+def sample_batch(state: TrainerState) -> np.ndarray:
+    """Class-balanced draw of dataset rows (int64): classes without
+    replacement, instances within a class without replacement when it is
+    large enough."""
     config = state.config
     chosen = state.rng.choice(
         len(state.class_rows), size=config.classes_per_batch, replace=False
@@ -417,7 +407,7 @@ def sample_batch(state: TrainerState, ds: RetrievalDataset) -> list[str]:
         pool = state.class_rows[c]
         replace_flag = len(pool) < config.m_per_class
         rows.append(state.rng.choice(pool, size=config.m_per_class, replace=replace_flag))
-    return [ds.ids[r] for r in np.concatenate(rows)]
+    return np.concatenate(rows)
 
 
 @contextmanager
@@ -432,14 +422,13 @@ def _diverged(where: str):
         raise NonFiniteLossError(f"{where}: {exc}") from None
 
 
-def train_step(state: TrainerState, ds: RetrievalDataset, batch_ids: Sequence[str]) -> LossGradients:
-    """One gradient step on the batch; mutates state in place.
+def train_step(state: TrainerState, ds: RetrievalDataset, rows: np.ndarray) -> LossGradients:
+    """One gradient step on the batch of dataset rows; mutates state in place.
 
     A loss, gradient or row norm that is not finite raises NonFiniteLossError
     naming the step.
     """
     config = state.config
-    rows = np.array([ds.row_of[i] for i in batch_ids], dtype=np.int64)
     lr = state.learning_rate()
     with _diverged(f"step {state.step}"):
         emb = state.model.embed(rows)
@@ -484,16 +473,13 @@ def evaluate_state(state: TrainerState, ds: RetrievalDataset) -> MetricsReport:
 
 @dataclass
 class TrainResult:
-    """Final state, metric history and the last holdout report."""
+    """Final state (config, proxies, metric history, step counts), the final
+    embeddings of every instance and the last holdout report."""
 
-    config: TrainerConfig
     state: TrainerState
     ids: tuple[str, ...]
     embeddings: np.ndarray
-    bank: ProxyBank
-    history: list[dict]
     report: MetricsReport
-    total_steps: int
 
 
 def fit(
@@ -531,8 +517,7 @@ def fit(
         loss_sum = rank_sum = cluster_sum = 0.0
         skipped = 0
         for _ in range(state.steps_per_epoch):
-            batch = sample_batch(state, ds)
-            out = train_step(state, ds, batch)
+            out = train_step(state, ds, sample_batch(state))
             loss_sum += out.value
             rank_sum += out.rank_value
             cluster_sum += out.cluster_value
@@ -549,16 +534,7 @@ def fit(
             )
 
     assert report is not None
-    return TrainResult(
-        config=config,
-        state=state,
-        ids=ds.ids,
-        embeddings=state.model.all_embeddings(ds.features),
-        bank=state.bank,
-        history=state.history,
-        report=report,
-        total_steps=state.total_steps,
-    )
+    return TrainResult(state, ds.ids, state.model.all_embeddings(ds.features), report)
 
 
 # --- persistence -----------------------------------------------------------------
@@ -572,24 +548,25 @@ def write_result(result: TrainResult, directory: Path) -> None:
     """Write history, final embeddings, proxy/counter sidecar and report."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(directory / HISTORY_FILE, history_text(result.history))
+    state, config = result.state, result.state.config
+    write_text_atomic(directory / HISTORY_FILE, history_text(state.history))
     write_text_atomic(
         directory / EMBEDDINGS_FILE, format_features(result.ids, result.embeddings)
     )
-    state = {
-        "model": result.config.model_kind,
-        "dim": result.config.dim,
-        "total_steps": result.total_steps,
-        "steps_run": result.state.step,
-        "epochs": result.config.epochs,
-        "seed": result.config.seed,
-        "lambda": result.config.lam,
+    sidecar = {
+        "model": config.model_kind,
+        "dim": config.dim,
+        "total_steps": state.total_steps,
+        "steps_run": state.step,
+        "epochs": config.epochs,
+        "seed": config.seed,
+        "lambda": config.lam,
         "proxies": {
             c: [float(x) for x in v]
-            for c, v in zip(result.bank.class_ids, result.bank.vectors)
+            for c, v in zip(state.bank.class_ids, state.bank.vectors)
         },
     }
-    write_text_atomic(directory / STATE_FILE, json.dumps(state, indent=2) + "\n")
+    write_text_atomic(directory / STATE_FILE, json.dumps(sidecar, indent=2) + "\n")
     write_text_atomic(
         directory / REPORT_FILE,
         json.dumps(result.report.to_json_dict(), indent=2) + "\n",

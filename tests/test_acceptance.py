@@ -175,7 +175,7 @@ def test_criterion_06_surrogate_upper_bound():
         depth = int(rng.integers(1, 5))
         n = int(rng.integers(2, 31))
         r = make_ranking(rng, n, depth, alpha=float(rng.uniform(0.5, 3.0)))
-        slack = hap_surrogate(r).value - (1.0 - h_ap(r))
+        slack = hap_surrogate(r.scores, r.relevance).value - (1.0 - h_ap(r))
         min_slack = min(min_slack, slack)
     ok = min_slack >= -1e-12
     record(

@@ -352,7 +352,7 @@ HEAVISIDE = ("gamma", "nu", "mu", "tau", "rho", "delta")
 WRONG_TYPE = [
     ("model.kind", nested("model.kind", 3), "model.kind must be one of 'table', 'linear', got 3"),
     *[(key, nested(key, "x"), f"{key}: {NOT_INT}") for key in (
-        "model.dim", "model.in_dim", "epochs", "batch_size", "m_per_class", "warmup_epochs",
+        "model.dim", "epochs", "batch_size", "m_per_class", "warmup_epochs",
         "seed", "eval_every",
     )],
     ("optimizer.kind", nested("optimizer.kind", 3),
@@ -378,7 +378,6 @@ WRONG_TYPE = [
     ("epochs", {"epochs": 2.7}, "epochs: expected an integer, got 2.7"),
     ("recall_ks", {"recall_ks": [1.9]}, "recall_ks: expected an integer, got 1.9"),
     ("model.dim", nested("model.dim", True), "model.dim: expected an integer, got True"),
-    ("model.in_dim", nested("model.in_dim", 5.5), "model.in_dim: expected an integer, got 5.5"),
     ("seed", {"seed": False}, "seed: expected an integer, got False"),
 ]
 
@@ -386,8 +385,6 @@ OUT_OF_RANGE = [
     ("model.kind", nested("model.kind", "resnet"),
      "model.kind must be one of 'table', 'linear', got 'resnet'"),
     ("model.dim", nested("model.dim", 1), "model.dim must be >= 2, got 1"),
-    ("model.in_dim", nested("model.in_dim", 9),
-     "model.in_dim must equal the feature width 5, got 9"),
     ("optimizer.kind", nested("optimizer.kind", "lion"),
      "optimizer.kind must be one of 'sgd', 'adam', got 'lion'"),
     ("optimizer.momentum", nested("optimizer.momentum", 1.0),
@@ -695,6 +692,8 @@ class TestTrainCommand:
             ({"epoch": 1}, "unknown key 'epoch' in config"),
             ({"model.dim": 4}, "unknown key 'model.dim' in config"),
             ({"model": {"kind": "linear", "dims": 4}}, "unknown key 'dims' in model"),
+            # the input width is the features file's, never a key (5 here)
+            ({"model": {"kind": "linear", "in_dim": 5}}, "unknown key 'in_dim' in model"),
             ({"optimizer": {"kind": "sgd", "lr": 0.1}}, "unknown key 'lr' in optimizer"),
             ({"objective": {"lamda": 0.1}}, "unknown key 'lamda' in objective"),
             (
@@ -714,7 +713,7 @@ class TestTrainCommand:
         ids=[
             "document_not_object", "section_not_object", "table_not_object", "top_level_typo",
             "dotted_key",
-            "model_typo", "optimizer_typo", "objective_typo", "profile_typo",
+            "model_typo", "removed_in_dim", "optimizer_typo", "objective_typo", "profile_typo",
             "weights_missing", "table_missing", "recall_ks_not_list",
         ],
     )
@@ -780,7 +779,7 @@ def test_eval_of_the_holdout_scores_gives_the_training_report(tmp_path):
     data, config_path = write_train_inputs(tmp_path)
     ds = load_dataset(data)
     raw = json.loads(config_path.read_text())
-    config = trainer_mod.config_from_dict(raw, depth=ds.taxonomy.depth, in_dim=ds.dim)
+    config = trainer_mod.config_from_dict(raw, depth=ds.taxonomy.depth)
     result = trainer_mod.fit(ds, config)
     trainer_mod.write_result(result, tmp_path / "run")
     # the holdout rows, each scored against the others in row order

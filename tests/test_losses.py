@@ -137,20 +137,14 @@ class TestHapSurrogate:
         assert out.value == 0.0
         assert np.all(out.d_scores == 0.0)
 
-    def test_accepts_ranking_object(self, fixture_875):
-        from_obj = hap_surrogate(fixture_875)
-        from_arrays = hap_surrogate(fixture_875.scores, fixture_875.relevance)
-        assert from_obj.value == from_arrays.value
-        assert np.array_equal(from_obj.d_scores, from_arrays.d_scores)
-
     def test_bounds_fixture_loss(self, fixture_875):
-        out = hap_surrogate(fixture_875)
+        out = hap_surrogate(fixture_875.scores, fixture_875.relevance)
         assert out.value >= (1.0 - 0.875) - 1e-12
 
     def test_bounds_random_losses(self, rng):
         for _ in range(100):
             r = make_ranking(rng, int(rng.integers(2, 30)), int(rng.integers(1, 4)))
-            out = hap_surrogate(r)
+            out = hap_surrogate(r.scores, r.relevance)
             assert out.value >= (1.0 - h_ap(r)) - 1e-12
 
     def test_equal_relevance_has_no_gradient(self):

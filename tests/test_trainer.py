@@ -139,13 +139,11 @@ class TestConfigFromDict:
         assert isinstance(cfg.epochs, int)
 
     def test_empty_config_is_the_dataclass_default(self):
-        assert config_from_dict({}, depth=3, in_dim=7) == TrainerConfig(in_dim=7)
         assert config_from_dict({}, depth=3) == TrainerConfig()
 
     def test_defaults(self):
-        cfg = config_from_dict({}, depth=2, in_dim=7)
+        cfg = config_from_dict({}, depth=2)
         assert cfg.model_kind == "linear"
-        assert cfg.in_dim == 7
         assert cfg.optimizer_kind == "adam"
         assert cfg.profile.kind == "alpha"
 
@@ -169,16 +167,6 @@ class TestConfigFromDict:
     def test_unknown_profile_kind(self):
         with pytest.raises(ValueError):
             config_from_dict({"objective": {"profile": {"kind": "mystery"}}}, depth=2)
-
-    def test_in_dim_null_or_absent_is_the_feature_width(self):
-        assert config_from_dict({"model": {"in_dim": None}}, depth=2, in_dim=7).in_dim == 7
-        assert config_from_dict({"model": {"in_dim": 7}}, depth=2, in_dim=7).in_dim == 7
-
-    def test_in_dim_must_match_the_feature_width(self):
-        with pytest.raises(ValueError, match="model.in_dim must equal the feature width 7, got 9"):
-            config_from_dict({"model": {"in_dim": 9}}, depth=2, in_dim=7)
-        # a table model reads no features
-        config_from_dict({"model": {"kind": "table", "in_dim": 9}}, depth=2, in_dim=7)
 
     def test_weight_count_is_checked_against_depth(self):
         profile = {"kind": "weighted", "weights": [0.5, 0.5]}
@@ -250,11 +238,6 @@ class TestInitState:
         with pytest.raises(InsufficientClassesError):
             init_state(ds, toy_config(batch_size=2, m_per_class=1))
 
-    def test_in_dim_mismatch(self):
-        ds = toy_dataset(dim=5)
-        with pytest.raises(ValueError):
-            init_state(ds, toy_config(in_dim=9))
-
     def test_eval_rows_fall_back_to_train(self):
         ds = toy_dataset(holdout=0.0)
         state = init_state(ds, toy_config())
@@ -289,9 +272,9 @@ class TestSampleBatch:
     def test_shape_and_balance(self):
         ds = toy_dataset()
         state = init_state(ds, toy_config())
-        batch = sample_batch(state, ds)
+        batch = sample_batch(state)
         assert len(batch) == 8
-        leaves = [ds.taxonomy.leaf(i) for i in batch]
+        leaves = [ds.taxonomy.leaf(ds.ids[r]) for r in batch]
         assert len(set(leaves)) == 2  # classes drawn without replacement
         for leaf in set(leaves):
             assert leaves.count(leaf) == 4
@@ -299,21 +282,21 @@ class TestSampleBatch:
     def test_single_instance_per_class(self):
         ds = toy_dataset()
         state = init_state(ds, toy_config(batch_size=4, m_per_class=1))
-        batch = sample_batch(state, ds)
-        leaves = [ds.taxonomy.leaf(i) for i in batch]
+        batch = sample_batch(state)
+        leaves = [ds.taxonomy.leaf(ds.ids[r]) for r in batch]
         assert len(set(leaves)) == 4
 
     def test_no_duplicates_when_pool_suffices(self):
         ds = toy_dataset(per_leaf=6)
         state = init_state(ds, toy_config())
         for _ in range(10):
-            batch = sample_batch(state, ds)
+            batch = sample_batch(state)
             assert len(set(batch)) == len(batch)
 
     def test_replacement_when_pool_small(self):
         ds = toy_dataset(per_leaf=2)
         state = init_state(ds, toy_config(batch_size=8, m_per_class=4))
-        batch = sample_batch(state, ds)  # 4 draws from 2-instance pools
+        batch = sample_batch(state)  # 4 draws from 2-instance pools
         assert len(batch) == 8
 
     def test_never_draws_holdout(self):
@@ -321,14 +304,14 @@ class TestSampleBatch:
         state = init_state(ds, toy_config())
         holdout = ds.holdout_ids
         for _ in range(30):
-            assert not (set(sample_batch(state, ds)) & holdout)
+            assert not ({ds.ids[r] for r in sample_batch(state)} & holdout)
 
     def test_same_seed_same_sequence(self):
         ds = toy_dataset()
         a = init_state(ds, toy_config(seed=5))
         b = init_state(ds, toy_config(seed=5))
-        seq_a = [sample_batch(a, ds) for _ in range(5)]
-        seq_b = [sample_batch(b, ds) for _ in range(5)]
+        seq_a = [sample_batch(a).tolist() for _ in range(5)]
+        seq_b = [sample_batch(b).tolist() for _ in range(5)]
         assert seq_a == seq_b
 
 
@@ -340,7 +323,7 @@ class TestTrainStep:
         assert state.learning_rate() == 0.0
         before = state.model.params.copy()
         proxies_before = state.bank.vectors.copy()
-        out = train_step(state, ds, sample_batch(state, ds))
+        out = train_step(state, ds, sample_batch(state))
         assert np.array_equal(state.model.params, before)
         assert np.array_equal(state.bank.vectors, proxies_before)
         assert out.value == out.rank_value  # pure surrogate at lambda zero
@@ -348,11 +331,10 @@ class TestTrainStep:
     def test_sgd_step_is_exactly_minus_lr_grad(self):
         ds = toy_dataset()
         state = init_state(ds, toy_config(lam=0.0, momentum=0.0))
-        batch = sample_batch(state, ds)
-        rows = np.array([ds.row_of[i] for i in batch])
+        rows = sample_batch(state)
         weights_before = state.model.params.copy()
         lr = state.learning_rate()
-        out = train_step(state, ds, batch)
+        out = train_step(state, ds, rows)
         expected = weights_before - lr * (ds.features[rows].T @ out.d_embedding)
         assert np.allclose(state.model.params, expected, atol=1e-15)
 
@@ -363,7 +345,7 @@ class TestTrainStep:
         table_before = state.model.params.copy()
         proxies_before = state.bank.vectors.copy()
         assert state.in_warmup
-        train_step(state, ds, sample_batch(state, ds))
+        train_step(state, ds, sample_batch(state))
         assert np.array_equal(state.model.params, table_before)
         assert not np.array_equal(state.bank.vectors, proxies_before)
 
@@ -372,14 +354,14 @@ class TestTrainStep:
         state = init_state(ds, toy_config(warmup_epochs=1))
         weights_before = state.model.params.copy()
         assert state.in_warmup
-        train_step(state, ds, sample_batch(state, ds))
+        train_step(state, ds, sample_batch(state))
         assert not np.array_equal(state.model.params, weights_before)
 
     def test_proxies_stay_unit_norm(self):
         ds = toy_dataset()
         state = init_state(ds, toy_config(optimizer_kind="adam", lr0=0.1))
         for _ in range(5):
-            train_step(state, ds, sample_batch(state, ds))
+            train_step(state, ds, sample_batch(state))
         norms = np.linalg.norm(state.bank.vectors, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-9)
 
@@ -391,13 +373,13 @@ class TestTrainStep:
             lambda *a, **k: LossGradients(value=float("nan")),
         )
         with pytest.raises(NonFiniteLossError):
-            train_step(state, ds, sample_batch(state, ds))
+            train_step(state, ds, sample_batch(state))
 
     @pytest.mark.parametrize("gradient", ["d_embedding", "d_proxies"])
     def test_nonfinite_gradient_aborts(self, monkeypatch, gradient):
         ds = toy_dataset()
         state = init_state(ds, toy_config())
-        batch = sample_batch(state, ds)
+        batch = sample_batch(state)
         grads = {
             "d_embedding": np.zeros((len(batch), state.config.dim)),
             "d_proxies": np.zeros_like(state.bank.vectors),
@@ -422,7 +404,7 @@ class TestTrainStep:
         )
         result = fit(ds, cfg)
         assert result.state.step == 50
-        assert result.history[-1]["loss"] < result.history[0]["loss"]
+        assert result.state.history[-1]["loss"] < result.state.history[0]["loss"]
 
 
 class TestSchedule:
@@ -446,8 +428,8 @@ class TestFit:
     def test_zero_epochs_single_eval(self):
         ds = toy_dataset()
         result = fit(ds, toy_config(epochs=0))
-        assert len(result.history) == 1
-        record = result.history[0]
+        assert len(result.state.history) == 1
+        record = result.state.history[0]
         assert record["epoch"] == 0
         assert record["step"] == 0
         assert "loss" not in record
@@ -456,27 +438,27 @@ class TestFit:
     def test_history_records_losses(self):
         ds = toy_dataset()
         result = fit(ds, toy_config(epochs=2))
-        assert len(result.history) == 2
-        for record in result.history:
+        assert len(result.state.history) == 2
+        for record in result.state.history:
             for key in ("loss", "rank_loss", "cluster_loss", "skipped_queries"):
                 assert key in record
 
     def test_eval_every(self):
         ds = toy_dataset()
         result = fit(ds, toy_config(epochs=5, eval_every=2))
-        assert [r["epoch"] for r in result.history] == [2, 4, 5]
+        assert [r["epoch"] for r in result.state.history] == [2, 4, 5]
 
     def test_seed_determinism_bitwise(self):
         ds = toy_dataset()
         cfg = toy_config(epochs=3, seed=21)
-        hist_a = history_text(fit(ds, cfg).history)
-        hist_b = history_text(fit(ds, cfg).history)
+        hist_a = history_text(fit(ds, cfg).state.history)
+        hist_b = history_text(fit(ds, cfg).state.history)
         assert hist_a == hist_b
 
     def test_different_seeds_differ(self):
         ds = toy_dataset()
-        hist_a = history_text(fit(ds, toy_config(seed=1)).history)
-        hist_b = history_text(fit(ds, toy_config(seed=2)).history)
+        hist_a = history_text(fit(ds, toy_config(seed=1)).state.history)
+        hist_b = history_text(fit(ds, toy_config(seed=2)).state.history)
         assert hist_a != hist_b
 
     def test_embeddings_cover_all_instances(self):
@@ -500,11 +482,11 @@ class TestWriteResult:
         write_result(result, tmp_path)
         for name in (HISTORY_FILE, EMBEDDINGS_FILE, STATE_FILE, REPORT_FILE):
             assert (tmp_path / name).exists()
-        assert (tmp_path / HISTORY_FILE).read_text() == history_text(result.history)
+        assert (tmp_path / HISTORY_FILE).read_text() == history_text(result.state.history)
         sidecar = json.loads((tmp_path / STATE_FILE).read_text())
         assert sidecar["model"] == "linear"
         assert sidecar["seed"] == 4
-        assert set(sidecar["proxies"]) == set(result.bank.class_ids)
+        assert set(sidecar["proxies"]) == set(result.state.bank.class_ids)
         report = json.loads((tmp_path / REPORT_FILE).read_text())
         assert list(report)[:3] == ["queries", "excluded", "h_ap"]
 
