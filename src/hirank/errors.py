@@ -20,11 +20,13 @@ class HirankError(Exception):
 # --- label hierarchy / relevance ---------------------------------------------
 
 class EmptyInputError(HirankError, ValueError):
-    """A hierarchy document contained no records."""
+    """A taxonomy, features or scores document contained no records."""
 
 
 class MalformedRecordError(HirankError, ValueError):
-    """A record did not match the expected tab-separated layout."""
+    """An input broke its layout (fields, label path, JSON), held a bad or
+    non-finite number or bytes that are not UTF-8, or left a taxonomy
+    instance without a feature row or a split label off the leaves."""
 
 
 class RaggedDepthError(HirankError, ValueError):
@@ -32,7 +34,8 @@ class RaggedDepthError(HirankError, ValueError):
 
 
 class DuplicateInstanceError(HirankError, ValueError):
-    """The same instance id appeared in more than one record."""
+    """An instance id, a split label or a scores file's (query, candidate)
+    pair appeared in more than one record."""
 
 
 class NonTreeParentageError(HirankError, ValueError):

@@ -21,7 +21,7 @@ Everything returns analytic gradients; there is no autograd anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

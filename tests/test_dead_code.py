@@ -1,4 +1,5 @@
-"""Every top-level function and class of `src/hirank` has a reader.
+"""Every top-level function and class, and every import, of `src/hirank`
+has a reader.
 
 A name that a module defines at its top level must be referred to
 somewhere in the package source (a name, an attribute or an import; its
@@ -6,6 +7,10 @@ own `def` or `class` line does not count). A public name (no leading
 underscore) may instead be exported in `hirank.__all__` or mentioned in
 README.md; a private helper (`_name`, not a dunder) has no such way out.
 Otherwise no caller, user or document needs it, and it is dead code.
+
+A name that a module imports must be read in that module. `from __future__`
+imports are exempt, and so are the names `hirank/__init__` re-exports in
+`__all__`.
 """
 
 import ast
@@ -47,6 +52,23 @@ def unused_definitions(package: Path = PACKAGE) -> list[str]:
     return unused
 
 
+def unused_imports(package: Path = PACKAGE) -> list[str]:
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = hirank.__all__ if path.stem == "__init__" else []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read and name not in exported:
+                        unused.append(f"{path.stem}.{name}")
+    return unused
+
+
 def is_private(dotted: str) -> bool:
     return dotted.split(".")[1].startswith("_")
 
@@ -65,3 +87,18 @@ def test_an_orphaned_private_helper_is_found(tmp_path):
     with (package / "metrics.py").open("a", encoding="utf-8") as handle:
         handle.write("\n\ndef _orphan():\n    return _CHUNK\n\n\nclass __Dunder:\n    pass\n")
     assert unused_definitions(package) == ["metrics._orphan"]
+
+
+def test_every_import_is_read():
+    assert unused_imports() == []
+
+
+def test_an_unread_import_is_found(tmp_path):
+    package = tmp_path / "hirank"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    source = (package / "metrics.py").read_text(encoding="utf-8")
+    (package / "metrics.py").write_text(
+        source.replace("import numpy as np\n", "import numpy as np\nimport os.path\n", 1),
+        encoding="utf-8",
+    )
+    assert unused_imports(package) == ["metrics.os"]
