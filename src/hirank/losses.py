@@ -270,7 +270,7 @@ def _surrogate_block(scores, relevance, params: SmoothHeavisideParams, floats, i
     ends = np.cumsum(entries)
     t, value, slope = floats
     positions, range_of = ints
-    terms = np.empty(len(k))
+    terms, own = np.empty(len(k)), np.empty(len(k))
     d = np.zeros(m * n)
     k0 = 0
     while k0 < len(k):
@@ -322,8 +322,11 @@ def _surrogate_block(scores, relevance, params: SmoothHeavisideParams, floats, i
         base, stop = row[k0] * n, (row[k1 - 1] + 1) * n
         index -= base
         d[base:stop] += np.bincount(index, sl, minlength=stop - base)
-        d[k[chunk]] -= np.bincount(owner, np.add.reduceat(sl, at), minlength=c)
+        own[chunk] = np.bincount(owner, np.add.reduceat(sl, at), minlength=c)
         k0 = k1
+    # each positive's own terms go last, so tied positives in different
+    # chunks sum the same numbers in the same order
+    d[k] -= own
 
     # each row sums its terms in the caller's column order, as one list would
     by_column = np.argsort(row * n + order.ravel()[k])

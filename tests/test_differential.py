@@ -498,27 +498,29 @@ def test_surrogate_gradient_matches_its_oracle(case, chunk):
     assert_close_to_largest(out.d_scores, expected, steepest_share(rel, params))
 
 
-def test_surrogate_keeps_a_stable_sorts_order_among_tied_candidates():
-    """Candidates tied in relevance and score are equal but not interchangeable
-    bit for bit: in chunks of one positive, two tied positives sum their
-    gradient terms in different orders. The kernel keeps lexsort's column order
-    among them, so its outputs equal those made with every sort stable: a sort
-    by score that is not stable fails here."""
+@pytest.mark.parametrize("chunk", [64, 256])
+def test_surrogate_is_permutation_equivariant_among_tied_candidates(chunk):
+    """Permuting a row's columns permutes its gradient exactly, also where
+    candidates tie in relevance and score, with chunks small enough to put
+    tied positives in different chunks; so tied candidates get bitwise equal
+    gradients. Relevance values are multiples of 1/8, which makes each row's
+    total exact in any order. The value sums the row's terms in column order,
+    so a permutation moves it by rounding only."""
     rng = np.random.default_rng(5)
-    argsort = np.argsort
-
-    def stable_argsort(a, axis=-1, kind=None):
-        return argsort(a, axis=axis, kind="stable")
-
+    params = SmoothHeavisideParams()
     for _ in range(60):
         scores = rng.choice(rng.normal(size=3) * 0.05, size=(8, 40))
-        rel = rng.choice(np.append(rng.uniform(0.1, 3.0, size=2).round(3), 0.0), size=(8, 40))
+        rel = rng.choice(np.append(rng.integers(1, 24, size=2) / 8, 0.0), size=(8, 40))
         rel[:, 0] = 1.0
-        with mock.patch.object(losses, "_CHUNK", 64):
-            value, d_scores = losses._surrogate_rows(scores, rel, SmoothHeavisideParams())
-            with mock.patch.object(np, "argsort", stable_argsort):
-                expected = losses._surrogate_rows(scores, rel, SmoothHeavisideParams())
-        assert np.array_equal(value, expected[0]) and np.array_equal(d_scores, expected[1])
+        perm = rng.permuted(np.tile(np.arange(40), (8, 1)), axis=1)
+        with mock.patch.object(losses, "_CHUNK", chunk):
+            value, d_scores = losses._surrogate_rows(scores, rel, params)
+            moved = [np.take_along_axis(a, perm, axis=1) for a in (scores, rel)]
+            moved_value, moved_d_scores = losses._surrogate_rows(*moved, params)
+        assert np.array_equal(moved_d_scores, np.take_along_axis(d_scores, perm, axis=1))
+        assert moved_value == pytest.approx(value, abs=1e-14)
+        tied = (scores[:, :, None] == scores[:, None, :]) & (rel[:, :, None] == rel[:, None, :])
+        assert np.all((d_scores[:, :, None] == d_scores[:, None, :]) | ~tied)
 
 
 @st.composite
