@@ -24,9 +24,13 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hirank"
 
 
+def parse_package(package: Path) -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))}
+
+
 def unused_definitions(package: Path = PACKAGE) -> list[str]:
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in package.glob("*.py")}
+    trees = parse_package(package)
     referred: set[str] = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -38,7 +42,7 @@ def unused_definitions(package: Path = PACKAGE) -> list[str]:
                 referred.add(node.name)
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     unused = []
-    for module, tree in sorted(trees.items()):
+    for module, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
@@ -54,10 +58,9 @@ def unused_definitions(package: Path = PACKAGE) -> list[str]:
 
 def unused_imports(package: Path = PACKAGE) -> list[str]:
     unused = []
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for module, tree in parse_package(package).items():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        exported = hirank.__all__ if path.stem == "__init__" else []
+        exported = hirank.__all__ if module == "__init__" else []
         for node in ast.walk(tree):
             if isinstance(node, ast.Import) or (
                 isinstance(node, ast.ImportFrom) and node.module != "__future__"
@@ -65,7 +68,7 @@ def unused_imports(package: Path = PACKAGE) -> list[str]:
                 for alias in node.names:
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in read and name not in exported:
-                        unused.append(f"{path.stem}.{name}")
+                        unused.append(f"{module}.{name}")
     return unused
 
 
