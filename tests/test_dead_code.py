@@ -105,3 +105,11 @@ def test_an_unread_import_is_found(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(package) == ["metrics.os"]
+
+
+def test_an_unexported_import_in_init_is_found(tmp_path):
+    package = tmp_path / "hirank"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    with (package / "__init__.py").open("a", encoding="utf-8") as handle:
+        handle.write("\nimport os\n")
+    assert unused_imports(package) == ["__init__.os"]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -262,6 +263,12 @@ class TestInitState:
         assert [rows.tolist() for rows in state.class_rows] == [[0, 1], [2, 3]]
         assert state.labels.tolist() == [0, 0, 1, 1]
 
+    @pytest.mark.parametrize("width", [3, 9])
+    def test_linear_model_reads_the_feature_width(self, width):
+        ds = toy_dataset(dim=width)
+        state = init_state(ds, toy_config())
+        assert state.model.params.shape == (width, 4)
+
     def test_proxies_unit_norm(self):
         state = init_state(toy_dataset(), toy_config())
         norms = np.linalg.norm(state.bank.vectors, axis=1)
@@ -305,6 +312,12 @@ class TestSampleBatch:
         holdout = ds.holdout_ids
         for _ in range(30):
             assert not ({ds.ids[r] for r in sample_batch(state)} & holdout)
+
+    def test_draws_int64_training_rows(self):
+        state = init_state(toy_dataset(), toy_config())
+        batch = sample_batch(state)
+        assert batch.dtype == np.int64
+        assert set(batch.tolist()) <= set(state.train_rows.tolist())
 
     def test_same_seed_same_sequence(self):
         ds = toy_dataset()
@@ -466,6 +479,12 @@ class TestFit:
         result = fit(ds, toy_config(epochs=1))
         assert result.ids == ds.ids
         assert result.embeddings.shape == (len(ds.ids), 4)
+
+    def test_result_holds_the_state_once(self):
+        result = fit(toy_dataset(), toy_config(epochs=1))
+        assert [f.name for f in dataclasses.fields(result)] == [
+            "state", "ids", "embeddings", "report"
+        ]
 
     def test_log_callback_runs(self):
         ds = toy_dataset()
