@@ -168,8 +168,8 @@ def hap_surrogate(
 def _check_rows(scores: np.ndarray, relevance: np.ndarray) -> None:
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    if np.any(relevance < 0):
-        raise ValueError("relevance must be non-negative")
+    if not np.all((relevance >= 0) & (relevance < np.inf)):
+        raise ValueError("relevance must be non-negative and finite")
 
 
 # cells per block of sorted rows, and gathered positive x candidate entries
@@ -446,10 +446,10 @@ def combined_loss(
     """(1 - lam) * ranking surrogate + lam * proxy clustering, over a batch.
 
     Every batch element queries the remaining ones under cosine scoring;
-    `relevance[q, j]` is candidate j's relevance for query q (the diagonal is
-    ignored), and `labels[i]` is row i's proxy index in the bank. Queries
-    whose in-batch relevance is all zero are skipped and counted. The
-    clustering term averages over all elements regardless.
+    `relevance[q, j]` is candidate j's relevance for query q (non-negative and
+    finite; the diagonal is ignored), and `labels[i]` is row i's proxy index
+    in the bank. Queries whose in-batch relevance is all zero are skipped and
+    counted. The clustering term averages over all elements regardless.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     relevance = np.asarray(relevance, dtype=np.float64)
@@ -464,12 +464,12 @@ def combined_loss(
     # a query's own column becomes a candidate scored -inf with relevance 0,
     # which adds exact zeros to every term and gets a zero gradient
     rel = np.where(np.eye(b, dtype=bool), 0.0, relevance)
+    _check_rows(scores, rel)
     ranked = rel.sum(axis=1) > 0
     included = int(ranked.sum())
     rows = slice(None) if included == b else ranked  # a view unless a query is skipped
     rank_value, d_ranked = 0.0, 0.0
     if included:
-        _check_rows(scores[rows], rel[rows])
         np.fill_diagonal(scores, -np.inf)
         values, d_ranked = _surrogate_rows(scores[rows], rel[rows], params)
         rank_value = float(values.sum()) / included

@@ -65,9 +65,12 @@ class ScoredRanking:
             object.__setattr__(self, name, arr)
         if not np.all(np.isfinite(self.scores)):
             raise ValueError("scores must be finite")
-        if np.any(self.relevance < 0):
-            raise ValueError("relevance must be non-negative")
-        if np.any((self.relevance == 0) != (self.levels == 0)):
+        if not np.all((self.relevance >= 0) & (self.relevance < np.inf)):
+            raise ValueError("relevance must be non-negative and finite")
+        levels = self.levels
+        if not np.all((levels >= 0) & (levels < np.inf) & (levels == np.floor(levels))):
+            raise ValueError("levels must be non-negative integers")
+        if np.any((self.relevance == 0) != (levels == 0)):
             raise ValueError("relevance must be 0 exactly on level-0 candidates")
 
     def __len__(self) -> int:

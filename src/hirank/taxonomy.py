@@ -64,13 +64,6 @@ class Taxonomy:
         """Per-level label codes of every row (see `path_codes`)."""
         return path_codes([self.entries[iid] for iid in self.row_of], self.depth)
 
-    def codes(self, instance_ids: Iterable[str]) -> np.ndarray:
-        """Per-level label codes of the given instances (see `path_codes`)."""
-        try:
-            return self.row_codes[[self.row_of[i] for i in instance_ids]]
-        except KeyError as exc:
-            raise UnknownInstanceError(exc.args[0]) from None
-
 
 @dataclass(frozen=True)
 class RelevanceProfile:

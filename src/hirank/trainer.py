@@ -228,9 +228,6 @@ class TableModel:
     def params(self) -> np.ndarray:
         return self.table
 
-    def all_embeddings(self, features: np.ndarray) -> np.ndarray:
-        return self.table.copy()
-
 
 class LinearModel:
     """A single projection of the fixed input features."""
@@ -249,9 +246,6 @@ class LinearModel:
     @property
     def params(self) -> np.ndarray:
         return self.weights
-
-    def all_embeddings(self, features: np.ndarray) -> np.ndarray:
-        return features @ self.weights
 
 
 # --- optimizers ----------------------------------------------------------------
@@ -297,25 +291,22 @@ def _make_optimizer(config: TrainerConfig):
 
 # --- pairwise structure ---------------------------------------------------------
 
-def pairwise_levels(codes: np.ndarray) -> np.ndarray:
-    """Deepest shared ancestor level for every pair of encoded paths."""
-    rows = np.arange(len(codes))
-    return ancestor_levels(codes, rows[:, None], rows[None, :])
+def pairwise_relevance(
+    codes: np.ndarray, profile: RelevanceProfile, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Relevance of candidate j for query q and its level, for every pair of
+    encoded paths (rows of `codes`), as `assign_relevance` returns them.
 
-
-def relevance_rows(levels: np.ndarray, profile: RelevanceProfile, depth: int) -> np.ndarray:
-    """Relevance of candidate j for query q, per batch row, diagonal zeroed.
-
-    Each row is one query of `assign_relevance`, whose level 0 drops the
-    diagonal (a row is not its own candidate). Weighted profiles drop weight
-    terms whose positive-or-deeper set is empty inside the batch instead of
-    raising: a sampled batch routinely misses levels that the full candidate
-    pool would cover.
+    Each row is one query. The diagonal is at level 0, so relevance 0: a row
+    is not its own candidate. Weighted profiles drop weight terms whose
+    positive-or-deeper set is empty among the rows instead of raising: a
+    sampled batch routinely misses levels that the full candidate pool would
+    cover.
     """
-    levels = levels.copy()
+    rows = np.arange(len(codes))
+    levels = ancestor_levels(codes, rows[:, None], rows[None, :])
     np.fill_diagonal(levels, 0)
-    query = np.arange(len(levels))[:, None]
-    return assign_relevance(levels, query, profile, depth, skip_empty=True)[0]
+    return assign_relevance(levels, rows[:, None], profile, depth, skip_empty=True)
 
 
 # --- trainer state -----------------------------------------------------------------
@@ -353,7 +344,7 @@ class TrainerState:
 def init_state(ds: RetrievalDataset, config: TrainerConfig) -> TrainerState:
     """Seeded setup; the draw order (proxies, then model) is part of the contract."""
     rng = np.random.default_rng(config.seed)
-    codes = ds.taxonomy.codes(ds.ids)
+    codes = ds.taxonomy.row_codes[[ds.taxonomy.row_of[i] for i in ds.ids]]
     train_rows = np.array([ds.row_of[i] for i in ds.train_ids], dtype=np.int64)
     if len(train_rows) == 0:
         raise InsufficientClassesError("no training instances outside the holdout")
@@ -432,8 +423,7 @@ def train_step(state: TrainerState, ds: RetrievalDataset, rows: np.ndarray) -> L
     lr = state.learning_rate()
     with _diverged(f"step {state.step}"):
         emb = state.model.embed(rows)
-        levels = pairwise_levels(state.codes[rows])
-        rel = relevance_rows(levels, config.profile, ds.taxonomy.depth)
+        rel, _ = pairwise_relevance(state.codes[rows], config.profile, ds.taxonomy.depth)
         out = combined_loss(
             emb, rel, state.labels[rows], state.bank, lam=config.lam, params=config.heaviside
         )
@@ -458,9 +448,8 @@ def evaluate_state(state: TrainerState, ds: RetrievalDataset) -> MetricsReport:
     """Holdout-style evaluation: fixed alpha=1 relevance, full metric set.
     Each evaluation row queries the remaining rows under cosine scoring."""
     rows, q = state.eval_rows, len(state.eval_rows)
-    scores, _, _ = cosine_matrix(state.model.all_embeddings(ds.features)[rows])
-    levels = pairwise_levels(state.codes[rows])
-    rel = relevance_rows(levels, RelevanceProfile.alpha(1.0), ds.taxonomy.depth)
+    scores, _, _ = cosine_matrix(state.model.embed(rows))
+    rel, levels = pairwise_relevance(state.codes[rows], RelevanceProfile.alpha(1.0), ds.taxonomy.depth)
     ids = [ds.ids[r] for r in rows]
     # ties break by id, and the ids' ranks among themselves sort as the ids do
     arrays = (np.broadcast_to(string_ranks(ids)[1], (q, q)), scores, rel, levels)
@@ -534,7 +523,7 @@ def fit(
             )
 
     assert report is not None
-    return TrainResult(state, ds.ids, state.model.all_embeddings(ds.features), report)
+    return TrainResult(state, ds.ids, state.model.embed(np.arange(len(ds.ids))), report)
 
 
 # --- persistence -----------------------------------------------------------------

@@ -8,6 +8,11 @@ underscore) may instead be exported in `hirank.__all__` or mentioned in
 README.md; a private helper (`_name`, not a dunder) has no such way out.
 Otherwise no caller, user or document needs it, and it is dead code.
 
+A method, property or annotated field of a class must likewise be named
+somewhere in the package source (dunders are exempt; a field's own
+declaration does not count, a keyword argument does), or be mentioned in
+README.md or in the benchmark harness (`perfbench/*.py`).
+
 A name that a module imports must be read in that module. `from __future__`
 imports are exempt, and so are the names `hirank/__init__` re-exports in
 `__all__`.
@@ -72,6 +77,40 @@ def unused_imports(package: Path = PACKAGE) -> list[str]:
     return unused
 
 
+def unused_members(package: Path = PACKAGE) -> list[str]:
+    trees = parse_package(package)
+    fields = set()  # the targets of annotated class fields, which declare a name
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                fields.update(id(s.target) for s in node.body if isinstance(s, ast.AnnAssign))
+    named: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and id(node) not in fields:
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, (ast.alias, ast.keyword)):
+                named.add(node.name if isinstance(node, ast.alias) else node.arg)
+    docs = "\n".join(path.read_text(encoding="utf-8")
+                     for path in [ROOT / "README.md", *sorted((ROOT / "perfbench").glob("*.py"))])
+    unused = []
+    for module, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                else:
+                    continue
+                if name.startswith("__") or name in named or re.search(rf"\b{re.escape(name)}\b", docs):
+                    continue
+                unused.append(f"{module}.{cls.name}.{name}")
+    return unused
+
+
 def is_private(dotted: str) -> bool:
     return dotted.split(".")[1].startswith("_")
 
@@ -90,6 +129,27 @@ def test_an_orphaned_private_helper_is_found(tmp_path):
     with (package / "metrics.py").open("a", encoding="utf-8") as handle:
         handle.write("\n\ndef _orphan():\n    return _CHUNK\n\n\nclass __Dunder:\n    pass\n")
     assert unused_definitions(package) == ["metrics._orphan"]
+
+
+def test_every_class_member_has_a_reader():
+    assert unused_members() == []
+
+
+def test_an_orphaned_class_member_is_found(tmp_path):
+    package = tmp_path / "hirank"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    source = (package / "trainer.py").read_text(encoding="utf-8")
+    planted = (
+        "class TableModel:\n"
+        "    orphan_field: int = 0\n\n"
+        "    def all_embeddings(self, features):\n        return self.table.copy()\n\n"
+        "    def __repr__(self):\n        return 'TableModel'\n\n"
+    )
+    (package / "trainer.py").write_text(source.replace("class TableModel:\n", planted, 1),
+                                        encoding="utf-8")
+    assert unused_members(package) == [
+        "trainer.TableModel.orphan_field", "trainer.TableModel.all_embeddings",
+    ]
 
 
 def test_every_import_is_read():

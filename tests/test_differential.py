@@ -108,8 +108,7 @@ from hirank.trainer import (
     TrainerConfig,
     evaluate_state,
     init_state,
-    pairwise_levels,
-    relevance_rows,
+    pairwise_relevance,
 )
 
 DIFFERENTIAL = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -238,7 +237,7 @@ def test_holdout_report_equals_evaluate_dataset_over_hand_built_lists():
     config = TrainerConfig(dim=4, batch_size=8, m_per_class=4, recall_ks=(1, 3))
     state = init_state(ds, config)
     rows, depth = state.eval_rows, ds.taxonomy.depth
-    scores, _, _ = cosine_matrix(state.model.all_embeddings(ds.features)[rows])
+    scores, _, _ = cosine_matrix(state.model.embed(rows))
     paths = [ds.taxonomy.path(ds.ids[r]) for r in rows]
     lists = []
     for q in range(len(rows)):
@@ -277,7 +276,8 @@ def label_paths(draw) -> tuple[int, list[tuple[str, ...]]]:
 def test_vectorized_levels_match_the_oracle(case):
     depth, paths = case
     expect = np.array([[oracle_ancestor_level(a, b) for b in paths] for a in paths])
-    assert np.array_equal(pairwise_levels(path_codes(paths, depth)), expect)
+    rows = np.arange(len(paths))
+    assert np.array_equal(ancestor_levels(path_codes(paths, depth), rows[:, None], rows), expect)
     # a valid tree: every node named by its full prefix, plus one unrelated leaf
     named = [tuple("".join(p[: l + 1]) for l in range(depth)) for p in paths]
     named.append(tuple("z" * (l + 1) for l in range(depth)))
@@ -356,12 +356,21 @@ def level_batches(draw) -> tuple[int, np.ndarray, RelevanceProfile]:
     return depth, levels, draw(profiles(depth))
 
 
+def batch_relevance(levels: np.ndarray, profile: RelevanceProfile, depth: int) -> np.ndarray:
+    """`pairwise_relevance`'s relevance over a drawn level matrix, which no
+    code table need produce: the diagonal zeroed, one query per row."""
+    levels = levels.copy()
+    np.fill_diagonal(levels, 0)
+    query = np.arange(len(levels))[:, None]
+    return assign_relevance(levels, query, profile, depth, skip_empty=True)[0]
+
+
 @DIFFERENTIAL
 @given(level_batches())
 def test_relevance_rows_match_the_per_query_loop(case):
     depth, levels, profile = case
     assert np.array_equal(
-        relevance_rows(levels, profile, depth), oracle_relevance_rows(levels, profile, depth)
+        batch_relevance(levels, profile, depth), oracle_relevance_rows(levels, profile, depth)
     )
 
 
@@ -369,7 +378,7 @@ def test_relevance_rows_match_the_per_query_loop(case):
 @given(level_batches())
 def test_profile_table_matches_the_relevance_oracles(case):
     depth, levels, profile = case
-    rel = relevance_rows(levels, profile, depth)
+    rel = batch_relevance(levels, profile, depth)
     b = len(levels)
     for q in range(b):
         others = np.arange(b) != q
@@ -626,7 +635,7 @@ def test_rank_loss_on_a_large_batch_matches_the_per_query_loop(params):
     embeddings[[5, 22, 47]] = embeddings[30]
     depth = synth.taxonomy.depth
     codes = path_codes([synth.taxonomy.path(synth.ids[i]) for i in rows], depth)
-    relevance = relevance_rows(pairwise_levels(codes), RelevanceProfile.alpha(1.0), depth)
+    relevance = pairwise_relevance(codes, RelevanceProfile.alpha(1.0), depth)[0]
     value, d_embedding, skipped = oracle_rank_loss(embeddings, relevance, params)
     ranked = [q for q in range(64) if np.delete(relevance[q], q).sum() > 0]
     floor = max(steepest_share(np.delete(relevance[q], q), params) for q in ranked)

@@ -170,6 +170,11 @@ class TestHapSurrogate:
         assert out.d_scores[1] < 0
         assert out.d_scores[0] > 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_rejects_relevance_that_is_negative_or_not_finite(self, bad):
+        with pytest.raises(ValueError, match="^relevance must be non-negative and finite$"):
+            hap_surrogate(np.array([3.0, 2.0, 1.0]), np.array([1.0, bad, 0.0]))
+
     def test_negative_above_positive_signs(self):
         out = hap_surrogate(np.array([2.0, 1.0]), np.array([0.0, 1.0]))
         assert out.d_scores[1] < 0
@@ -371,6 +376,16 @@ class TestCombinedLoss:
             combined_loss(emb, rel[:3, :3], labels, bank)
         with pytest.raises(ValueError):
             combined_loss(emb, rel, labels[:-1], bank)
+        for bad in (np.nan, np.inf):
+            off_diagonal = rel.copy()
+            off_diagonal[0, 1] = bad
+            with pytest.raises(ValueError, match="^relevance must be non-negative and finite$"):
+                combined_loss(emb, off_diagonal, labels, bank)
+        # the diagonal is ignored, whatever it holds
+        on_diagonal = rel.copy()
+        on_diagonal[0, 0] = np.nan
+        ignored = combined_loss(emb, on_diagonal, labels, bank)
+        assert ignored.value == combined_loss(emb, rel, labels, bank).value
 
     def test_matches_finite_differences(self):
         result = run_checks(["combined"], trials=8, seed=7)[0]

@@ -64,6 +64,18 @@ class TestScoredRanking:
         with pytest.raises(ValueError):
             # relevance 0 on a positive level breaks the correspondence
             ScoredRanking("q", ("a",), np.array([1.0]), np.array([0.0]), np.array([1]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^relevance must be non-negative and finite$"):
+                ScoredRanking("q", ("a", "b", "c"), [3.0, 2.0, 1.0], [1.0, bad, 0.0], [1, 1, 0])
+
+    @pytest.mark.parametrize("levels", [[1.5, 1, 0], [-1, 1, 0], [np.nan, 1, 0], [np.inf, 1, 0]])
+    def test_levels_must_be_non_negative_integers(self, levels):
+        with pytest.raises(ValueError, match="^levels must be non-negative integers$"):
+            ScoredRanking("q", ("a", "b", "c"), [3.0, 2.0, 1.0], [1.0, 0.5, 0.0], levels)
+
+    def test_integral_float_levels_are_valid(self):
+        r = ScoredRanking("q", ("a", "b", "c"), [3.0, 2.0, 1.0], [1.0, 0.5, 0.0], [2.0, 1.0, 0.0])
+        assert asi(r) == 1.0
 
     def test_sorted_order_breaks_ties_by_id(self):
         r = ScoredRanking(

@@ -23,8 +23,7 @@ from hirank.trainer import (
     fit,
     history_text,
     init_state,
-    pairwise_levels,
-    relevance_rows,
+    pairwise_relevance,
     sample_batch,
     train_step,
     write_result,
@@ -184,21 +183,20 @@ class TestConfigFromDict:
 class TestPairwiseStructure:
     def test_path_codes_shape(self):
         ds = toy_dataset()
-        codes = ds.taxonomy.codes(ds.ids)
+        codes = init_state(ds, toy_config()).codes
         assert codes.shape == (len(ds.ids), ds.taxonomy.depth)
 
     def test_pairwise_levels_prefixes(self):
         codes = np.array([[0, 0], [0, 0], [0, 1], [1, 0]])
-        levels = pairwise_levels(codes)
+        levels = pairwise_relevance(codes, RelevanceProfile.alpha(1.0), depth=2)[1]
         assert levels[0, 1] == 2
         assert levels[0, 2] == 1
         assert levels[0, 3] == 0
-        assert levels[3, 3] == 2  # self row, masked off downstream
+        assert levels[3, 3] == 0  # a row is not its own candidate
 
     def test_relevance_rows_alpha(self):
         codes = np.array([[0, 0], [0, 0], [0, 1], [1, 0]])
-        levels = pairwise_levels(codes)
-        rel = relevance_rows(levels, RelevanceProfile.alpha(1.0), depth=2)
+        rel = pairwise_relevance(codes, RelevanceProfile.alpha(1.0), depth=2)[0]
         # query 0 sees levels [2, 1, 0] in the other rows
         assert rel[0, 0] == 0.0
         assert rel[0, 1] == pytest.approx(1.0)
@@ -207,22 +205,19 @@ class TestPairwiseStructure:
 
     def test_relevance_rows_weighted_matches_oracle(self):
         codes = np.array([[0, 0], [0, 0], [0, 1], [1, 0]])
-        levels = pairwise_levels(codes)
-        rel = relevance_rows(levels, RelevanceProfile.weighted_ap((0.4, 0.6)), depth=2)
+        rel = pairwise_relevance(codes, RelevanceProfile.weighted_ap((0.4, 0.6)), depth=2)[0]
         expect = weighted_relevance(np.array([2, 1, 0]), (0.4, 0.6))
         assert np.allclose(rel[0, 1:], expect, atol=1e-15)
 
     def test_relevance_rows_weighted_isolated_query(self):
         # a query with no in-batch positives gets all-zero relevance
         codes = np.array([[0, 0], [0, 0], [1, 0]])
-        levels = pairwise_levels(codes)
-        rel = relevance_rows(levels, RelevanceProfile.weighted_ap((0.4, 0.6)), depth=2)
+        rel = pairwise_relevance(codes, RelevanceProfile.weighted_ap((0.4, 0.6)), depth=2)[0]
         assert np.all(rel[2] == 0.0)
 
     def test_relevance_rows_explicit(self):
         codes = np.array([[0], [0], [1]])
-        levels = pairwise_levels(codes)
-        rel = relevance_rows(levels, RelevanceProfile.explicit({1: 0.7}), depth=1)
+        rel = pairwise_relevance(codes, RelevanceProfile.explicit({1: 0.7}), depth=1)[0]
         assert rel[0, 1] == 0.7
         assert rel[0, 2] == 0.0
 
