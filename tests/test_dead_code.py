@@ -79,20 +79,21 @@ def unused_imports(package: Path = PACKAGE) -> list[str]:
 
 def unused_members(package: Path = PACKAGE) -> list[str]:
     trees = parse_package(package)
-    fields = set()  # the targets of annotated class fields, which declare a name
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                fields.update(id(s.target) for s in node.body if isinstance(s, ast.AnnAssign))
+    # the targets of annotated class fields, which declare a name, not read it
+    fields = {stmt.target for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef)
+              for stmt in node.body if isinstance(stmt, ast.AnnAssign)}
     named: set[str] = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and id(node) not in fields:
+            if isinstance(node, ast.Name) and node not in fields:
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
-            elif isinstance(node, (ast.alias, ast.keyword)):
-                named.add(node.name if isinstance(node, ast.alias) else node.arg)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+            elif isinstance(node, ast.keyword) and node.arg:
+                named.add(node.arg)
     docs = "\n".join(path.read_text(encoding="utf-8")
                      for path in [ROOT / "README.md", *sorted((ROOT / "perfbench").glob("*.py"))])
     unused = []
