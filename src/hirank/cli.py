@@ -142,7 +142,8 @@ def cmd_eval(args) -> int:
         raise ValueError("--threads must be >= 1")
     taxonomy = ds_io.read_file(args.taxonomy, parse_taxonomy)
     profile.level_table([0] * (taxonomy.depth + 1), skip_empty=True)  # checks the weight count
-    table = ds_io.read_file(args.scores, lambda text: read_scores(text, taxonomy))
+    with ds_io.located(args.scores):
+        table = read_scores(ds_io.TextFile(args.scores), taxonomy)
     relevance, levels = assign_relevance(table.levels, table.query, profile, taxonomy.depth)
     # ties break by id, and taxonomy rows sort as the ids do
     columns = (table.candidate, table.score, relevance, levels)

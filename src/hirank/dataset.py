@@ -9,8 +9,8 @@ A dataset directory holds three UTF-8 text files:
 The holdout is open-set by construction: the split names whole fine (leaf)
 classes, so no held-out class can also occur in training.
 
-Every input file of the CLI is read through `read_file`, so a data error
-in it names the file.
+Every input file of the CLI is decoded by `TextFile` and read under
+`located`, so a data error in it names the file.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -37,6 +39,7 @@ TAXONOMY_FILE = "taxonomy.tsv"
 FEATURES_FILE = "features.tsv"
 SPLIT_FILE = "split.txt"
 
+_BLOCK = 1 << 16  # bytes per read of `TextFile`: a block holds this and the rest of a line
 T = TypeVar("T")
 
 
@@ -159,29 +162,57 @@ def format_split(labels: Sequence[str]) -> str:
     return "\n".join(ordered) + ("\n" if ordered else "")
 
 
-def read_text(path: Path) -> str:
-    """Decode `path` as UTF-8 whatever the locale; bad bytes are a MalformedRecordError."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedRecordError(f"{path}: not UTF-8 at byte {exc.start}") from None
+@dataclass(frozen=True)
+class TextFile:
+    """A UTF-8 file's text as blocks of whole lines, newlines translated as in text mode.
 
-
-def read_file(path: Path, parse: Callable[[str], T]) -> T:
-    """`parse` applied to the UTF-8 text of `path`; every data error names the file.
-
-    A HirankError from `parse` keeps its class and gets `path` in front of its
-    message; any other ValueError (a JSON syntax error, say) or RecursionError
-    (too deep a nesting) becomes a MalformedRecordError. OSError passes through.
+    Each pass reads the file anew, `_BLOCK` bytes at a time and on to the end of the line.
+    A byte that is not UTF-8 is a MalformedRecordError naming the file and its offset.
     """
-    text = read_text(path)
+
+    path: Path
+
+    def __iter__(self) -> Iterator[str]:
+        offset = 0
+        with open(self.path, "rb") as handle:
+            for chunk in iter(partial(handle.read, _BLOCK), b""):
+                block = chunk + handle.readline()  # no character or CRLF pair is cut
+                try:
+                    text = block.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    error = MalformedRecordError(f"not UTF-8 at byte {offset + exc.start}")
+                    error.path = self.path
+                    raise error from None
+                offset += len(block)
+                yield text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def read_text(path: Path) -> str:
+    """Decode `path` as UTF-8 whatever the locale (see `TextFile`)."""
+    return "".join(TextFile(path))
+
+
+@contextmanager
+def located(path: Path) -> Iterator[None]:
+    """Every data error raised in the body names the file `path`.
+
+    A HirankError keeps its class and gets `path` in front of its message;
+    any other ValueError (a JSON syntax error, say) or RecursionError (too
+    deep a nesting) becomes a MalformedRecordError. OSError passes through.
+    """
     try:
-        return parse(text)
+        yield
     except HirankError as exc:
         exc.path = path
         raise
     except (ValueError, RecursionError) as exc:
         raise MalformedRecordError(f"{path}: {exc}") from None
+
+
+def read_file(path: Path, parse: Callable[[str], T]) -> T:
+    """`parse` applied to the UTF-8 text of `path`; every data error names the file."""
+    with located(path):
+        return parse(read_text(path))
 
 
 def write_text_atomic(path: Path, text: str) -> None:

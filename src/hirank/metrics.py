@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import count, filterfalse
-from typing import Mapping, NamedTuple, NoReturn, Sequence
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -426,38 +426,40 @@ class ScoreTable(NamedTuple):
     levels: np.ndarray  # each candidate's common-ancestor level with its query
 
 
-def read_scores(text: str, taxonomy: Taxonomy) -> ScoreTable:
+def read_scores(source: str | Iterable[str], taxonomy: Taxonomy) -> ScoreTable:
     """Read `query_id<TAB>candidate_id<TAB>score` records against `taxonomy`.
 
-    The text is read a block of lines at a time (see `_record_blocks`), and
-    each block's columns are converted in bulk; `ancestor_levels` then compares
-    query and candidate rows one level column at a time. Errors come in this
-    order: the first malformed line, bad score or id the taxonomy lacks, at its
-    line; then the first score that is not finite or repeated (query,
-    candidate) pair, at its line; then a query among its own candidates.
+    `source` is a text, or line-aligned blocks of one that can be read twice (a
+    `dataset.TextFile`): one pass counts the lines to size the columns, the next
+    fills them a block at a time (see `_record_blocks`), and `ancestor_levels`
+    then compares query and candidate rows.
+    Errors come in this order: a byte that is not UTF-8; the first malformed line, bad
+    score or id the taxonomy lacks, at its line; then the first score that is not finite
+    or repeated (query, candidate) pair, at its line; then a query among its own candidates.
     """
+    blocks = [source] if isinstance(source, str) else source
+    size = sum(block.count("\n") for block in blocks) + 1  # at least the number of rows
+    query, candidate, score = np.empty(size, np.int64), np.empty(size, np.int64), np.empty(size)
     row_of = taxonomy.row_of
     number: dict[str, int] = {}  # each query id's number, in order of first appearance
-    blocks = []
+    end = 0
     try:
-        for queries, candidates, scores in _record_blocks(text, 3):
+        for queries, candidates, scores in _record_blocks(blocks, 3):
             new_queries = filterfalse(number.__contains__, dict.fromkeys(queries))
             number.update(zip(new_queries, count(len(number))))
-            blocks.append((
-                np.fromiter(map(number.__getitem__, queries), np.int64),
-                np.fromiter(map(row_of.__getitem__, candidates), np.int64),
-                np.fromiter(map(float, scores), np.float64),
-            ))
+            start, end = end, end + len(queries)
+            query[start:end] = np.fromiter(map(number.__getitem__, queries), np.int64)
+            candidate[start:end] = np.fromiter(map(row_of.__getitem__, candidates), np.int64)
+            score[start:end] = np.fromiter(map(float, scores), np.float64)
         query_rows = np.array(list(map(row_of.__getitem__, number)), dtype=np.int64)
     except (KeyError, ValueError):
-        _raise_score_error(text, row_of)
+        _raise_score_error(blocks, row_of)
     if not number:
         raise EmptyInputError("no score rows")
-    query, candidate, score = (np.concatenate(column) for column in zip(*blocks))
-    del blocks  # the columns above copy them; the levels below are the peak
+    query, candidate, score = query[:end], candidate[:end], score[:end]
     repeated = not np.diff(np.sort(query * len(row_of) + candidate)).all()
     if repeated or not np.isfinite(score).all():
-        _raise_score_error(text, row_of)
+        _raise_score_error(blocks, row_of)
     own = query[candidate == query_rows[query]]
     if len(own):
         raise QueryInCandidatesError(list(number)[own.min()])
@@ -471,10 +473,11 @@ def read_scores(text: str, taxonomy: Taxonomy) -> ScoreTable:
     return ScoreTable(list(number), query, candidate, score, levels)
 
 
-def _raise_score_error(text: str, row_of: Mapping[str, int]) -> NoReturn:
+def _raise_score_error(blocks: Iterable[str], row_of: Mapping[str, int]) -> NoReturn:
     """Raise the first error of a scores text that holds one, in `read_scores`' order."""
     late, seen = None, set()
-    for lineno, (query, candidate, score) in records(text, "query<TAB>candidate<TAB>score"):
+    lines = records("".join(blocks), "query<TAB>candidate<TAB>score")
+    for lineno, (query, candidate, score) in lines:
         try:
             value = float(score)
         except ValueError:

@@ -190,22 +190,23 @@ def records(text: str, layout: str) -> Iterator[tuple[int, list[str]]]:
         yield lineno, fields
 
 
-def _record_blocks(text: str, width: int) -> Iterator[list[list[str]]]:
-    """`records(text, ...)`'s fields as `width` columns per block of about `_BLOCK` characters."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK - 1) + 1 or len(text)
-        block, start = text[start:end], end
-        lines = block.split("\n")
-        if "\r" in block:
-            lines = map(str.rstrip, lines, repeat("\r"))
-        lines = list(filter(None, lines))
-        # a "\n" field closes each line, and the fields from the (width + 1)th on, at a
-        # stride of width + 1, are exactly one "\n" per line iff every line has `width` fields
-        fields = ("\t\n\t".join(lines) + "\t\n").split("\t") if lines else []
-        if "" in fields or fields[width :: width + 1] != ["\n"] * len(lines):
-            raise MalformedRecordError("a line does not match the layout; `records` names it")
-        yield [fields[i :: width + 1] for i in range(width)]
+def _record_blocks(texts: Iterable[str], width: int) -> Iterator[list[list[str]]]:
+    """`records`' fields as `width` columns per ~`_BLOCK` characters of line-aligned `texts`."""
+    for text in texts:
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start + _BLOCK - 1) + 1 or len(text)
+            block, start = text[start:end], end
+            lines = block.split("\n")
+            if "\r" in block:
+                lines = map(str.rstrip, lines, repeat("\r"))
+            lines = list(filter(None, lines))
+            # a "\n" field closes each line, and the fields from the (width + 1)th on, at a
+            # stride of width + 1, are exactly one "\n" per line iff every line has `width` fields
+            fields = ("\t\n\t".join(lines) + "\t\n").split("\t") if lines else []
+            if "" in fields or fields[width :: width + 1] != ["\n"] * len(lines):
+                raise MalformedRecordError("a line does not match the layout; `records` names it")
+            yield [fields[i :: width + 1] for i in range(width)]
 
 
 def parse_taxonomy(text: str) -> Taxonomy:

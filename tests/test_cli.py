@@ -4,9 +4,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from hirank import dataset
 from hirank import trainer as trainer_mod
 from hirank.cli import main, parse_relevance_flag
 from hirank.dataset import FEATURES_FILE, SPLIT_FILE, TAXONOMY_FILE, load_dataset
@@ -184,6 +186,28 @@ class TestEvalCommand:
                     "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert f"hirank eval: {bad}: not UTF-8 at byte " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+    def test_carriage_return_line_ends_give_the_lf_report(self, tmp_path, capsys, end):
+        tax, sco = write_eval_inputs(tmp_path)
+        base = ["eval", "--taxonomy", str(tax), "--scores", str(sco)]
+        assert run(base + ["--out", str(tmp_path / "lf.json")]) == 0
+        sco.write_bytes(FIXTURE_SCORES.replace("\n", end).encode("utf-8"))
+        assert run(base + ["--out", str(tmp_path / "cr.json")]) == 0
+        assert (tmp_path / "cr.json").read_bytes() == (tmp_path / "lf.json").read_bytes()
+
+    @pytest.mark.parametrize("first", [
+        "q\tc1\n", "q\tzz\t1\n", "q\tc1\tzap\n", "q\tc1\tnan\n", "q\tq\t1\n", "q\tc2\t9\n",
+    ], ids=["malformed", "unknown-id", "bad-score", "nonfinite", "own-query", "repeat"])
+    def test_bad_byte_in_a_later_block_wins_over_an_earlier_error(self, tmp_path, capsys, first):
+        tax, sco = write_eval_inputs(tmp_path)
+        head = (first + FIXTURE_SCORES).encode("utf-8")
+        sco.write_bytes(head + b"q\tc\xff\t1\n")
+        with mock.patch.object(dataset, "_BLOCK", 8):
+            code = run(["eval", "--taxonomy", str(tax), "--scores", str(sco),
+                        "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"hirank eval: {sco}: not UTF-8 at byte {len(head) + 3}\n"
 
     def test_unknown_query_id_is_named(self, tmp_path, capsys):
         tax, sco = write_eval_inputs(tmp_path, scores=FIXTURE_SCORES + "zz\tc1\t1\n")

@@ -1,11 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from hirank import dataset
 from hirank.dataset import (
     FEATURES_FILE,
     SPLIT_FILE,
     TAXONOMY_FILE,
     RetrievalDataset,
+    TextFile,
     format_features,
     format_split,
     load_dataset,
@@ -168,6 +172,48 @@ class TestReadText:
     def test_os_errors_pass_through(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_text(tmp_path / "missing.tsv")
+
+
+def read_blocks(path, block: int) -> list[str]:
+    """The blocks of `TextFile(path)` at reads of `block` bytes."""
+    with mock.patch.object(dataset, "_BLOCK", block):
+        return list(TextFile(path))
+
+
+class TestTextFile:
+    def test_a_line_longer_than_a_read_is_read_whole(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"a\tlong line\nb\n")
+        assert read_blocks(path, 3) == ["a\tlong line\n", "b\n"]
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
+    def test_reads_cut_no_character_and_no_crlf_pair(self, tmp_path, block):
+        # at 2 bytes a read ends inside "漢" (3 bytes) and between "\r" and "\n";
+        # the last line has no newline
+        path = tmp_path / "t.tsv"
+        path.write_bytes("é\r\n漢\r\nz".encode("utf-8"))
+        blocks = read_blocks(path, block)
+        assert "".join(blocks) == path.read_text(encoding="utf-8") == "é\n漢\nz"
+        assert all(b.endswith("\n") for b in blocks[:-1])
+        if block == 2:
+            assert blocks == ["é\n", "漢\n", "z"]
+
+    def test_lone_carriage_returns_end_lines_as_in_text_mode(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"a\rb\r\r\nc\r")
+        assert "".join(read_blocks(path, 2)) == path.read_text(encoding="utf-8") == "a\nb\n\nc\n"
+
+    def test_bad_byte_in_a_later_block_is_named_at_its_offset_in_the_file(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"ok\nok\nok\nx\xff\n")
+        with pytest.raises(MalformedRecordError, match=f"^{path}: not UTF-8 at byte 10$"):
+            read_blocks(path, 3)
+
+    def test_each_pass_reads_the_file_again(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("a\nb\n", encoding="utf-8")
+        text = TextFile(path)
+        assert list(text) == list(text) == ["a\nb\n"]
 
 
 class TestReadFile:

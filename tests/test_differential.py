@@ -32,7 +32,10 @@ The line reader `records` and the four text parsers built on it are checked
 against a plain line loop on generated texts with blank lines, CRLF and lone
 trailing CR line ends, empty fields, a field too many or too few, repeated
 ids and non-ASCII ids: the records accepted, the exception class and the
-line it names must match. The blocked scores reader is checked the same way
+line it names must match. A file's line-aligned blocks (`dataset.TextFile`),
+joined, must equal its text-mode read, or fail at the same byte, for random
+bytes with CR, LF, multi-byte and invalid sequences at reads of 1-64 bytes.
+The blocked scores reader is checked the same way
 at blocks of 1 and 7 characters and its default, shorter and longer than a
 line, on texts that also hold ids the taxonomy lacks, an id with a carriage
 return inside, bad scores and scores that are not finite.
@@ -65,7 +68,7 @@ from conftest import (
     oracle_relevance_rows,
     weighted_relevance,
 )
-from hirank import losses, metrics, taxonomy
+from hirank import dataset, losses, metrics, taxonomy
 from hirank.errors import (
     AllQueriesEmptyError,
     DuplicateInstanceError,
@@ -831,7 +834,7 @@ def test_record_blocks_match_the_oracle(data, kind, block):
     accepted, bad = oracle_records(text, len(values))
     rows = []
     with mock.patch.object(taxonomy, "_BLOCK", block):
-        blocks = taxonomy._record_blocks(text, len(values))
+        blocks = taxonomy._record_blocks([text], len(values))
         if bad is None:
             rows.extend(row for columns in blocks for row in zip(*columns))
         else:
@@ -854,7 +857,29 @@ def test_record_blocks_reject_two_records_and_a_field_between_on_one_line(kind, 
     text = f"{line}\n"
     assert oracle_records(text, width) == ([], 1)
     with mock.patch.object(taxonomy, "_BLOCK", block), pytest.raises(MalformedRecordError):
-        list(taxonomy._record_blocks(text, width))
+        list(taxonomy._record_blocks([text], width))
+
+
+FILE_PIECES = [b"a", b"\t", b"\n", b"\r", b"\r\n", "é".encode(), "漢".encode(), b"\xff", b"\xe6\xbc", b"\x80"]
+
+
+@DIFFERENTIAL
+@given(st.lists(st.sampled_from(FILE_PIECES), max_size=40).map(b"".join), st.integers(1, 64))
+def test_text_file_blocks_join_to_the_text_mode_read(tmp_path_factory, data, block):
+    path = tmp_path_factory.mktemp("text") / "t.tsv"
+    path.write_bytes(data)
+    try:
+        expected = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        expected = f"{path}: not UTF-8 at byte {exc.start}"
+    with mock.patch.object(dataset, "_BLOCK", block):
+        try:
+            blocks = list(dataset.TextFile(path))
+        except MalformedRecordError as exc:
+            assert str(exc) == expected
+        else:
+            assert "".join(blocks) == expected
+            assert all(b.endswith("\n") for b in blocks[:-1])
 
 
 def score_table_rows(table) -> list[list[str]]:

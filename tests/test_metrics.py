@@ -14,6 +14,7 @@ from conftest import (
     oracle_binary_ap,
     oracle_h_ap,
 )
+from hirank.dataset import TextFile, read_text
 from hirank.errors import (
     AllQueriesEmptyError,
     DuplicateInstanceError,
@@ -590,3 +591,25 @@ class TestParseScores:
             tracemalloc.stop()
         assert len(table.query) == 320 * 319
         assert peak <= 2 * len(text)
+
+    def test_peak_memory_of_an_all_pairs_file_read_as_eval_does_is_under_twice_its_bytes(
+        self, tmp_path
+    ):
+        # the file's blocks are read twice, to size the columns and to fill them, and the
+        # whole text is never held: about 1.6x, against 2.6x when it is read at once
+        path = tmp_path / "scores.tsv"
+        path.write_text("".join(f"{q}\t{c}\t{math.sin(k)!r}\n"
+                                for k, (q, c) in enumerate(permutations(ALL_PAIRS_IDS, 2))))
+        ALL_PAIRS_TAXONOMY.row_codes  # built once, outside the measurement
+
+        def peak(read) -> int:
+            tracemalloc.start()
+            try:
+                assert len(read().query) == 320 * 319
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        size = path.stat().st_size
+        assert peak(lambda: read_scores(TextFile(path), ALL_PAIRS_TAXONOMY)) < 2 * size
+        assert peak(lambda: read_scores(read_text(path), ALL_PAIRS_TAXONOMY)) > 2 * size
