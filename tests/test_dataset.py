@@ -188,7 +188,7 @@ class TestTextFile:
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
     def test_reads_cut_no_character_and_no_crlf_pair(self, tmp_path, block):
-        # at 2 bytes a read ends inside "漢" (3 bytes) and between "\r" and "\n";
+        # a read of 2 bytes ends inside "漢" (3 bytes), one of 3 between "\r" and "\n";
         # the last line has no newline
         path = tmp_path / "t.tsv"
         path.write_bytes("é\r\n漢\r\nz".encode("utf-8"))
