@@ -943,3 +943,64 @@ def test_an_error_inside_a_synth_flag_value_names_the_flag(tmp_path, capsys, fla
     assert main(["synth", "--out", str(tmp_path / "d"), flag, value]) == 1
     assert capsys.readouterr().err == f"hirank synth: bad {flag} {value!r}: {message}\n"
     assert not (tmp_path / "d").exists()
+
+
+HELP = """\
+usage: hirank [-h] {synth,eval,train,gradcheck} ...
+
+Command line front end. Subcommands: synth (generate a dataset directory),
+eval (score file -> metrics report), train (dataset + config ->
+history/checkpoint/report), gradcheck (finite-difference verification of the
+analytic gradients). Exit codes: 0 success, 1 usage or invalid configuration,
+2 unreadable or inconsistent data or an output that cannot be written, 3
+failed numeric check or diverged training. The handlers raise; `main` alone
+maps what they raise to its code and prints it as one `hirank <command>:
+<message>` line.
+
+positional arguments:
+  {synth,eval,train,gradcheck}
+    synth               generate a synthetic dataset directory
+    eval                evaluate a scores file against a taxonomy
+    train               train embeddings on a dataset directory
+    gradcheck           finite-difference check of analytic gradients
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+GRADCHECK_HELP = """\
+usage: hirank gradcheck [-h]
+                        [--what {heaviside,surrogate,clustering,cosine,combined,all}]
+                        [--trials TRIALS] [--eps EPS] [--tol TOL]
+                        [--seed SEED]
+
+options:
+  -h, --help            show this help message and exit
+  --what {heaviside,surrogate,clustering,cosine,combined,all}
+  --trials TRIALS
+  --eps EPS
+  --tol TOL
+  --seed SEED
+"""
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["--help"], HELP),
+    (["gradcheck", "--help"], GRADCHECK_HELP),
+], ids=["hirank", "gradcheck"])
+def test_help_text_is_unchanged(monkeypatch, capsys, argv, text):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == text
+
+
+def test_an_unknown_gradcheck_family_is_a_usage_error():
+    proc = run_cli(["gradcheck", "--what", "nope"], {})
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "hirank gradcheck: error: argument --what: invalid choice: 'nope' (choose from "
+        "'heaviside', 'surrogate', 'clustering', 'cosine', 'combined', 'all')\n"
+    )
