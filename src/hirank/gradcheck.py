@@ -285,6 +285,9 @@ def run_checks(
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    for name in names or ():
+        if name not in CHECKS:
+            raise ValueError(f"unknown check {name!r}, expected one of {', '.join(CHECKS)}")
     results = []
     for name in names or list(CHECKS):
         worst_err, worst_config = 0.0, {}

@@ -51,6 +51,19 @@ def test_driver_reseeds_every_family(monkeypatch):
     assert first.worst_config == second.worst_config
 
 
+def test_an_unknown_family_is_a_value_error_naming_it(monkeypatch):
+    def family(rng, trials, eps):
+        raise AssertionError("no family runs before the names are checked")
+
+    monkeypatch.setitem(CHECKS, "fake", family)
+    with pytest.raises(ValueError) as error:
+        run_checks(["fake", "nope"])
+    assert str(error.value) == (
+        "unknown check 'nope', expected one of "
+        "heaviside, surrogate, clustering, cosine, combined, fake"
+    )
+
+
 def test_clears_kinks_rejects_a_gap_at_a_kink():
     params = gradcheck.SmoothHeavisideParams()
     rows = np.array([[0.0, 0.5, -0.5], [0.0, 0.3, 0.9]])
