@@ -10,89 +10,48 @@ The package splits into:
 - trainer: class-balanced batch training of embedding models
 - gradcheck: finite-difference verification of every gradient
 - cli: the `hirank` command line tool
+
+`import hirank` loads no submodule. A submodule, or a name exported from
+one, is imported when it is first read (`hirank.metrics`, `hirank.h_ap`).
 """
 
-from .errors import HirankError
-from .taxonomy import (
-    RelevanceProfile,
-    Taxonomy,
-    assign_relevance,
-    parse_taxonomy,
-)
-from .metrics import (
-    MetricsReport,
-    ScoredRanking,
-    ap_level,
-    asi,
-    evaluate_dataset,
-    h_ap,
-    h_ap_pr_oracle,
-    h_pr_at_k,
-    h_rank,
-    ndcg,
-    rank_of,
-    recall_at_k,
-)
-from .losses import (
-    LossGradients,
-    ProxyBank,
-    SmoothHeavisideParams,
-    clustering_loss,
-    combined_loss,
-    hap_surrogate,
-    heaviside_lower,
-    heaviside_upper,
-)
-from .dataset import RetrievalDataset, load_dataset, write_dataset
-from .synthgen import SynthSpec, generate
-from .trainer import (
-    TrainerConfig,
-    TrainerState,
-    TrainResult,
-    fit,
-    init_state,
-    sample_batch,
-    train_step,
-)
+from importlib import import_module
 
-__all__ = [
-    "HirankError",
-    "Taxonomy",
-    "RelevanceProfile",
-    "parse_taxonomy",
-    "assign_relevance",
-    "ScoredRanking",
-    "MetricsReport",
-    "rank_of",
-    "h_rank",
-    "h_ap",
-    "ap_level",
-    "h_pr_at_k",
-    "h_ap_pr_oracle",
-    "asi",
-    "ndcg",
-    "recall_at_k",
-    "evaluate_dataset",
-    "SmoothHeavisideParams",
-    "heaviside_lower",
-    "heaviside_upper",
-    "hap_surrogate",
-    "ProxyBank",
-    "clustering_loss",
-    "combined_loss",
-    "LossGradients",
-    "RetrievalDataset",
-    "load_dataset",
-    "write_dataset",
-    "SynthSpec",
-    "generate",
-    "TrainerConfig",
-    "TrainerState",
-    "TrainResult",
-    "init_state",
-    "sample_batch",
-    "train_step",
-    "fit",
-]
+# every submodule, with the names the package exports from it
+_EXPORTS = {
+    "errors": ("HirankError",),
+    "taxonomy": ("Taxonomy", "RelevanceProfile", "parse_taxonomy", "assign_relevance"),
+    "metrics": (
+        "ScoredRanking", "MetricsReport", "rank_of", "h_rank", "h_ap", "ap_level", "h_pr_at_k",
+        "h_ap_pr_oracle", "asi", "ndcg", "recall_at_k", "evaluate_dataset",
+    ),
+    "losses": (
+        "SmoothHeavisideParams", "heaviside_lower", "heaviside_upper", "hap_surrogate",
+        "ProxyBank", "clustering_loss", "combined_loss", "LossGradients",
+    ),
+    "dataset": ("RetrievalDataset", "load_dataset", "write_dataset"),
+    "synthgen": ("SynthSpec", "generate"),
+    "trainer": (
+        "TrainerConfig", "TrainerState", "TrainResult", "init_state", "sample_batch",
+        "train_step", "fit",
+    ),
+    "gradcheck": (),
+    "cli": (),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        return getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

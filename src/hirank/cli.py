@@ -16,19 +16,22 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import dataset as ds_io
-from . import trainer as trainer_mod
 from .errors import HirankError, NonFiniteLossError
-from .gradcheck import CHECKS, DEFAULT_EPS, DEFAULT_TOL, run_checks
-from .metrics import evaluate_columns, read_scores
-from .synthgen import SynthSpec, generate
-from .taxonomy import RelevanceProfile, assign_relevance, parse_taxonomy
+
+if TYPE_CHECKING:
+    from .taxonomy import RelevanceProfile
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
 CHECK_EXIT = 3
+
+# `gradcheck.CHECKS` with "all", `DEFAULT_EPS` and `DEFAULT_TOL`, written out
+# so that the parser does not import gradcheck and losses (a test compares them)
+GRADCHECK_CHOICES = ["heaviside", "surrogate", "clustering", "cosine", "combined", "all"]
+GRADCHECK_EPS = 1e-5
+GRADCHECK_TOL = 1e-4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,6 +59,8 @@ def _flag(name: str, text: str, parse: Callable[[str], object]):
 
 def parse_relevance_flag(text: str) -> RelevanceProfile:
     """Accepts "alpha:A" or "weights:w1,..,wL"."""
+    from .taxonomy import RelevanceProfile
+
     tag, _, rest = text.partition(":")
     if tag == "alpha" and rest:
         return RelevanceProfile.alpha(float(rest))
@@ -97,10 +102,10 @@ def build_parser() -> _Parser:
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of analytic gradients")
-    p.add_argument("--what", choices=[*CHECKS, "all"], default="all")
+    p.add_argument("--what", choices=GRADCHECK_CHOICES, default="all")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--eps", type=float, default=GRADCHECK_EPS)
+    p.add_argument("--tol", type=float, default=GRADCHECK_TOL)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -115,6 +120,9 @@ def _write(path: Path, write: Callable[[], None]) -> None:
 
 
 def cmd_synth(args) -> int:
+    from .dataset import write_dataset
+    from .synthgen import SynthSpec, generate
+
     spec = SynthSpec(
         branching=tuple(_flag("--branching", args.branching, _int_list)),
         instances_per_leaf=args.per_leaf,
@@ -125,7 +133,7 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     ds = generate(spec)
-    _write(args.out, lambda: ds_io.write_dataset(ds, args.out))
+    _write(args.out, lambda: write_dataset(ds, args.out))
     print(
         f"wrote {len(ds.ids)} instances over {spec.num_leaves} leaf classes "
         f"({len(ds.holdout_classes)} classes held out) to {args.out}"
@@ -134,22 +142,26 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .dataset import TextFile, located, read_file, write_text_atomic
+    from .metrics import evaluate_columns, read_scores
+    from .taxonomy import assign_relevance, parse_taxonomy
+
     profile = _flag("--relevance", args.relevance, parse_relevance_flag)
     ks = _flag("--ks", args.ks, _int_list)
     if not ks or min(ks) < 1:
         raise ValueError(f"bad --ks {args.ks!r}: expected positive integers")
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
-    taxonomy = ds_io.read_file(args.taxonomy, parse_taxonomy)
+    taxonomy = read_file(args.taxonomy, parse_taxonomy)
     profile.level_table([0] * (taxonomy.depth + 1), skip_empty=True)  # checks the weight count
-    with ds_io.located(args.scores):
-        table = read_scores(ds_io.TextFile(args.scores), taxonomy)
+    with located(args.scores):
+        table = read_scores(TextFile(args.scores), taxonomy)
     relevance, levels = assign_relevance(table.levels, table.query, profile, taxonomy.depth)
     # ties break by id, and taxonomy rows sort as the ids do
     columns = (table.candidate, table.score, relevance, levels)
     report = evaluate_columns(table.query_ids, table.query, columns, ks, taxonomy.depth)
     text = json.dumps(report.to_json_dict(), indent=2) + "\n"
-    _write(args.out, lambda: ds_io.write_text_atomic(args.out, text))
+    _write(args.out, lambda: write_text_atomic(args.out, text))
     print(f"queries {report.queries} excluded {report.excluded}")
     for name, value in report.metric_items():
         print(f"{name} {value:.6f}")
@@ -157,21 +169,26 @@ def cmd_eval(args) -> int:
 
 
 def cmd_train(args) -> int:
-    ds = ds_io.load_dataset(args.data)
-    raw = ds_io.read_file(args.config, json.loads)
+    from .dataset import load_dataset, read_file
+    from .trainer import config_from_dict, fit, write_result
+
+    ds = load_dataset(args.data)
+    raw = read_file(args.config, json.loads)
     try:
-        config = trainer_mod.config_from_dict(raw, depth=ds.taxonomy.depth)
+        config = config_from_dict(raw, depth=ds.taxonomy.depth)
     except ValueError as exc:
         raise ValueError(f"bad config: {exc}") from None
     log = (lambda line: None) if args.quiet else print
-    result = trainer_mod.fit(ds, config, log=log)
-    _write(args.out, lambda: trainer_mod.write_result(result, args.out))
+    result = fit(ds, config, log=log)
+    _write(args.out, lambda: write_result(result, args.out))
     print(json.dumps(result.state.history[-1]))
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
+    from .gradcheck import run_checks
+
     names = None if args.what == "all" else [args.what]
     results = run_checks(names, trials=args.trials, eps=args.eps, tol=args.tol, seed=args.seed)
     for res in results:

@@ -8,10 +8,11 @@ from unittest import mock
 
 import pytest
 
-from hirank import dataset
+from hirank import cli, dataset
 from hirank import trainer as trainer_mod
 from hirank.cli import main, parse_relevance_flag
 from hirank.dataset import FEATURES_FILE, SPLIT_FILE, TAXONOMY_FILE, load_dataset
+from hirank.gradcheck import CHECKS, DEFAULT_EPS, DEFAULT_TOL
 from hirank.losses import cosine_matrix
 from hirank.metrics import ScoredRanking, evaluate_dataset
 from hirank.trainer import EMBEDDINGS_FILE, HISTORY_FILE, REPORT_FILE, STATE_FILE
@@ -1004,3 +1005,45 @@ def test_an_unknown_gradcheck_family_is_a_usage_error():
         "hirank gradcheck: error: argument --what: invalid choice: 'nope' (choose from "
         "'heaviside', 'surrogate', 'clustering', 'cosine', 'combined', 'all')\n"
     )
+
+
+def test_the_gradcheck_literals_equal_their_sources():
+    assert cli.GRADCHECK_CHOICES == [*CHECKS, "all"]
+    assert cli.GRADCHECK_EPS == DEFAULT_EPS
+    assert cli.GRADCHECK_TOL == DEFAULT_TOL
+
+
+# prints, as its last line, the exit code of `main(argv)` (None without argv)
+# and the hirank modules and numpy that the interpreter then holds
+LOADED = """\
+import json, sys
+from hirank.cli import main
+code = main(sys.argv[1:]) if sys.argv[1:] else None
+print(json.dumps([code, sorted(m for m in sys.modules if m == "numpy" or m.startswith("hirank"))]))
+"""
+
+
+def loaded_modules(argv):
+    """Run `main(argv)` in a fresh interpreter; its code and the modules it loaded."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", LOADED, *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, {m.removeprefix("hirank.") for m in modules} - {"hirank", "cli"}
+
+
+def test_importing_the_cli_loads_only_the_errors_module():
+    assert loaded_modules([]) == (None, {"errors"})
+
+
+def test_eval_loads_no_training_module(tmp_path):
+    tax, sco = write_eval_inputs(tmp_path)
+    argv = ["eval", "--taxonomy", str(tax), "--scores", str(sco), "--out", str(tmp_path / "r.json")]
+    assert loaded_modules(argv) == (0, {"numpy", "errors", "taxonomy", "dataset", "metrics"})
+
+
+def test_train_loads_neither_gradcheck_nor_synthgen(tmp_path):
+    argv = train_argv(tmp_path, {"epochs": 1})
+    assert loaded_modules(argv) == (
+        0, {"numpy", "errors", "taxonomy", "dataset", "metrics", "losses", "trainer"})
