@@ -266,6 +266,16 @@ class TestEvalCommand:
         assert code == 2
         assert f"hirank eval: cannot write {out}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ks", ["4,1", "1,4,1"])
+    def test_cutoff_order_and_repeats_do_not_change_output(self, tmp_path, capsys, ks):
+        tax, sco = write_eval_inputs(tmp_path)
+        base = ["eval", "--taxonomy", str(tax), "--scores", str(sco)]
+        assert run(base + ["--out", str(tmp_path / "a.json"), "--ks", "1,4"]) == 0
+        sorted_stdout = capsys.readouterr().out
+        assert run(base + ["--out", str(tmp_path / "b.json"), "--ks", ks]) == 0
+        assert capsys.readouterr().out == sorted_stdout
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
     def test_threads_do_not_change_output(self, tmp_path):
         tax, sco = write_eval_inputs(tmp_path)
         out1 = tmp_path / "r1.json"
@@ -513,6 +523,15 @@ class TestTrainCommand:
             assert (out / name).exists()
         stdout = capsys.readouterr().out
         assert f"wrote {out}" in stdout
+
+    def test_history_lists_recall_cutoffs_in_ascending_order(self, tmp_path):
+        data, config = write_train_inputs(tmp_path, {"recall_ks": [4, 1]})
+        out = tmp_path / "run"
+        assert run(["train", "--data", str(data), "--config", str(config),
+                    "--out", str(out), "--quiet"]) == 0
+        for line in (out / HISTORY_FILE).read_text().splitlines():
+            keys = [k for k in json.loads(line) if k.startswith("recall_at_")]
+            assert keys == ["recall_at_1", "recall_at_4"]
 
     def test_seed_determinism(self, tmp_path):
         data, config = write_train_inputs(tmp_path)

@@ -424,6 +424,12 @@ class TestEvaluateDataset:
         direct = np.mean([oracle_h_ap(r.scores, r.relevance) for r in rankings])
         assert report.h_ap == pytest.approx(float(direct), abs=1e-12)
 
+    def test_cutoff_order_does_not_change_the_report(self, fixture_875):
+        sorted_ks = evaluate_dataset([fixture_875], ks=(1, 4), depth=3).to_json_dict()
+        report = evaluate_dataset([fixture_875], ks=(4, 1), depth=3).to_json_dict()
+        assert report == sorted_ks
+        assert list(report["recall_at_k"]) == ["1", "4"]
+
     def test_json_key_order(self, fixture_875):
         report = evaluate_dataset([fixture_875], ks=(1, 4), depth=3)
         keys = list(report.to_json_dict())
