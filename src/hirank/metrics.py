@@ -21,7 +21,7 @@ columns in bulk; it reads the file line by line only to name an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count, filterfalse
 from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
@@ -154,7 +154,8 @@ def _ndcg_rows(rows: _Rows) -> np.ndarray:
 
 
 def _recall_rows(rows: _Rows, k: int, level: int) -> np.ndarray:
-    return (rows.levels[:, :k] >= level).any(axis=1)
+    """1 if the top k reach `level`, else 0; nan for a row where nothing does."""
+    return np.where(rows.ideal[:, 0] >= level, (rows.levels[:, :k] >= level).any(axis=1), np.nan)
 
 
 def _require_positives(r: ScoredRanking) -> None:
@@ -270,6 +271,8 @@ def ndcg(r: ScoredRanking) -> float:
 
 def recall_at_k(r: ScoredRanking, k: int, level: int) -> int:
     """1 if any of the top-k scored candidates sits at `level` or deeper."""
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
     if not np.any(r.levels >= level):
         raise NoPositivesError(f"query {r.query_id!r} has no candidate at level >= {level}")
     if k < 1:
@@ -279,27 +282,31 @@ def recall_at_k(r: ScoredRanking, k: int, level: int) -> int:
 
 @dataclass
 class MetricsReport:
-    """Mean metrics over the queries of a dataset, plus per-query values."""
+    """Per-query metrics over the queries with a positive, one column each.
 
-    queries: int
+    `columns` maps each metric, in report order (h_ap, each ap_level_l, asi,
+    ndcg, each recall_at_k), to one float per query of `query_ids`, nan where
+    the metric is undefined: a level's AP where no candidate reaches the
+    level, and the recalls where none reaches the evaluated depth."""
+
+    query_ids: list[str]
     excluded: int
-    h_ap: float
-    ap_level: dict[int, float]
-    asi: float
-    ndcg: float
-    recall_at_k: dict[int, float]
-    per_query: dict[str, dict[str, float]] = field(default_factory=dict)
+    columns: dict[str, np.ndarray]
+
+    @property
+    def queries(self) -> int:
+        return len(self.query_ids)
+
+    def mean(self, name: str) -> float:
+        """The mean of a column over its defined entries, nan if it has none."""
+        column = self.columns[name]
+        # np.nanmean would sum zeros in place of the nans, in another grouping
+        defined = column[~np.isnan(column)]
+        return float(np.mean(defined)) if len(defined) else float("nan")
 
     def metric_items(self) -> list[tuple[str, float]]:
-        """The mean metrics in report order: h_ap, each ap_level_l, asi, ndcg,
-        each recall_at_k."""
-        return [
-            ("h_ap", self.h_ap),
-            *((f"ap_level_{l}", v) for l, v in sorted(self.ap_level.items())),
-            ("asi", self.asi),
-            ("ndcg", self.ndcg),
-            *((f"recall_at_{k}", v) for k, v in sorted(self.recall_at_k.items())),
-        ]
+        """The mean metrics in report order."""
+        return [(name, self.mean(name)) for name in self.columns]
 
     def to_json_dict(self) -> dict:
         """The metric items, with the recall cutoffs nested under recall_at_k."""
@@ -318,7 +325,7 @@ class MetricsReport:
 def evaluate_rows(
     query_ids: Sequence[str], groups, stack, ks: Sequence[int], depth: int
 ) -> MetricsReport:
-    """Per-query metrics and their means over the queries with a positive.
+    """Per-query metrics of the queries with a positive.
 
     The lists come as rows of equal length: `groups` holds (n, positions)
     for the lists of n candidates, at those positions of `query_ids`, and
@@ -328,7 +335,12 @@ def evaluate_rows(
     """
     if any(k < 1 for k in ks):
         raise IndexOutOfRangeError(min(ks))
-    per_query: list[dict | None] = [None] * len(query_ids)
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    levels, cutoffs = range(1, depth + 1), sorted(set(ks))
+    names = ["h_ap", *(f"ap_level_{l}" for l in levels), "asi", "ndcg",
+             *(f"recall_at_{k}" for k in cutoffs)]
+    values = np.full((len(names), len(query_ids)), np.nan)
     for n, positions in groups:
         step = max(1, _CHUNK // max(n, 1))
         for chunk in (positions[i : i + step] for i in range(0, len(positions), step)):
@@ -337,32 +349,17 @@ def evaluate_rows(
             if not keep.any():
                 continue
             rows = _sorted_rows(*(a[keep] for a in arrays))
-            h, a, g = _h_ap_rows(rows, rows.relevance), _asi_rows(rows), _ndcg_rows(rows)
-            ap = {l: _ap_level_rows(rows, l) for l in range(1, depth + 1)}
-            recall = {k: _recall_rows(rows, k, depth) for k in ks}
-            kept = np.asarray(chunk)[keep].tolist()
-            for j, (q, deepest) in enumerate(zip(kept, rows.ideal[:, 0].tolist())):
-                row = per_query[q] = {"h_ap": float(h[j]), "asi": float(a[j]), "ndcg": float(g[j])}
-                row.update((f"ap_level_{l}", float(v[j])) for l, v in ap.items() if l <= deepest)
-                if deepest >= depth:
-                    row.update((f"recall_at_{k}", float(v[j])) for k, v in recall.items())
-    included = [(q, row) for q, row in zip(query_ids, per_query) if row is not None]
-    if not included:
+            values[:, np.asarray(chunk)[keep]] = [
+                _h_ap_rows(rows, rows.relevance), *(_ap_level_rows(rows, l) for l in levels),
+                _asi_rows(rows), _ndcg_rows(rows), *(_recall_rows(rows, k, depth) for k in cutoffs),
+            ]
+    included = ~np.isnan(values[0])
+    if not included.any():
         raise AllQueriesEmptyError("no query has a positive candidate")
-
-    def mean_of(key: str) -> float:
-        vals = [row[key] for _, row in included if key in row]
-        return float(np.mean(vals)) if vals else float("nan")
-
     return MetricsReport(
-        queries=len(included),
-        excluded=len(query_ids) - len(included),
-        h_ap=mean_of("h_ap"),
-        ap_level={l: mean_of(f"ap_level_{l}") for l in range(1, depth + 1)},
-        asi=mean_of("asi"),
-        ndcg=mean_of("ndcg"),
-        recall_at_k={k: mean_of(f"recall_at_{k}") for k in ks},
-        per_query=dict(included),
+        query_ids=[q for q, i in zip(query_ids, included.tolist()) if i],
+        excluded=int((~included).sum()),
+        columns=dict(zip(names, values[:, included])),
     )
 
 
@@ -403,7 +400,8 @@ def evaluate_dataset(
     if not rankings:
         raise AllQueriesEmptyError("no query has a positive candidate")
     if depth is None:
-        depth = max(int(r.levels.max()) for r in rankings)
+        # at least 1, so that rankings without a positive raise AllQueriesEmptyError
+        depth = max(1, *(int(r.levels.max()) for r in rankings))
     query = np.repeat(np.arange(len(rankings)), [len(r) for r in rankings])
     # ties break by id, and the ids' ranks sort as the ids do
     ids = string_ranks([i for r in rankings for i in r.candidate_ids])[1]

@@ -224,6 +224,17 @@ def oracle_asi(scores: np.ndarray, ids, levels: np.ndarray) -> float:
     return total / n_pos
 
 
+def per_query(report) -> dict[str, dict[str, float]]:
+    """Each included query's defined metrics, keyed h_ap, asi, ndcg, each
+    ap_level_l, then each recall_at_k: the form the eval golden file pins."""
+    first = ["h_ap", "asi", "ndcg"]
+    names = first + [name for name in report.columns if name not in first]
+    return {
+        q: {name: float(v) for name in names if not math.isnan(v := report.columns[name][i])}
+        for i, q in enumerate(report.query_ids)
+    }
+
+
 # --- record reader oracle ---------------------------------------------------------
 
 

@@ -254,8 +254,8 @@ def training_runs():
 
 
 def test_criterion_08_hierarchy_beats_fine_only(training_runs):
-    coarse_gap = training_runs["hier"].ap_level[1] - training_runs["fine"].ap_level[1]
-    hap_gap = training_runs["hier"].h_ap - training_runs["fine"].h_ap
+    coarse_gap = training_runs["hier"].mean("ap_level_1") - training_runs["fine"].mean("ap_level_1")
+    hap_gap = training_runs["hier"].mean("h_ap") - training_runs["fine"].mean("h_ap")
     elapsed = training_runs["elapsed"]
     ok = coarse_gap >= 0.05 and hap_gap >= 0.02 and elapsed < 600.0
     record(
@@ -271,14 +271,14 @@ def test_criterion_08_hierarchy_beats_fine_only(training_runs):
 
 
 def test_criterion_09_clustering_term_helps(training_runs):
-    gap = training_runs["hier"].h_ap - training_runs["rank_only"].h_ap
+    gap = training_runs["hier"].mean("h_ap") - training_runs["rank_only"].mean("h_ap")
     ok = gap >= 0.0
     record(9, ok, f"clustering weight 0.1 >= weight 0 on final h_ap ({gap:+.4f})")
     assert gap >= 0.0
 
 
 def test_criterion_10_steeper_decay_helps_fine(training_runs):
-    gap = training_runs["steep"].ap_level[3] - training_runs["hier"].ap_level[3]
+    gap = training_runs["steep"].mean("ap_level_3") - training_runs["hier"].mean("ap_level_3")
     ok = gap >= 0.0
     record(10, ok, f"alpha 3 >= alpha 1 on fine-level holdout AP ({gap:+.4f})")
     assert gap >= 0.0

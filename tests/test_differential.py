@@ -48,7 +48,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -66,6 +66,7 @@ from conftest import (
     oracle_recall_at_k,
     oracle_records,
     oracle_relevance_rows,
+    per_query,
     weighted_relevance,
 )
 from hirank import dataset, losses, metrics, taxonomy
@@ -172,7 +173,7 @@ def test_dataset_rows_equal_standalone_kernels(batch):
                for i, r in enumerate(batch)]
     report = evaluate_dataset(queries, ks=(1, 3), depth=depth)
     for r in queries:
-        row = report.per_query[r.query_id]
+        row = per_query(report)[r.query_id]
         assert row["h_ap"] == h_ap(r)
         assert row["asi"] == asi(r)
         assert row["ndcg"] == ndcg(r)
@@ -206,7 +207,7 @@ def test_dataset_rows_match_the_oracles(queries, depth, chunk):
     depth = depth or max(int(r.levels.max()) for r in queries)
     included = [r for r in queries if np.any(r.levels > 0)]
     assert (report.queries, report.excluded) == (len(included), len(queries) - len(included))
-    assert list(report.per_query) == [r.query_id for r in included]
+    assert list(per_query(report)) == [r.query_id for r in included]
     for r in included:
         s, ids, levels = r.scores, r.candidate_ids, r.levels
         expected = {
@@ -219,13 +220,41 @@ def test_dataset_rows_match_the_oracles(queries, depth, chunk):
         if np.any(levels >= depth):
             expected.update({f"recall_at_{k}": oracle_recall_at_k(s, ids, levels, k, depth)
                              for k in ks})
-        row = report.per_query[r.query_id]
+        row = per_query(report)[r.query_id]
         assert sorted(row) == sorted(expected)
         for key, value in expected.items():
             assert row[key] == pytest.approx(value, abs=1e-12), key
         assert r.sorted_order() == oracle_list_order(s, ids)
-    rows = list(report.per_query.values())
-    assert report.h_ap == pytest.approx(np.mean([row["h_ap"] for row in rows]), abs=1e-12)
+    rows = list(per_query(report).values())
+    assert report.mean("h_ap") == pytest.approx(np.mean([row["h_ap"] for row in rows]), abs=1e-12)
+
+
+@settings(DIFFERENTIAL, max_examples=150)
+@given(ranking_sets(), st.sampled_from([None, 1, 3]), st.sampled_from([1, 60, metrics._CHUNK]))
+def test_report_columns_are_nan_exactly_where_a_metric_is_undefined(queries, depth, chunk):
+    included = [r for r in queries if np.any(r.levels > 0)]
+    assume(included)
+    with mock.patch.object(metrics, "_CHUNK", chunk):
+        report = evaluate_dataset(queries, ks=(40, 1, 2, 1), depth=depth)
+    depth = depth or max(int(r.levels.max()) for r in queries)
+    assert list(report.columns) == [
+        "h_ap", *(f"ap_level_{l}" for l in range(1, depth + 1)), "asi", "ndcg",
+        "recall_at_1", "recall_at_2", "recall_at_40",
+    ]
+    assert report.query_ids == [r.query_id for r in included]
+    assert report.excluded == len(queries) - len(included)
+    deepest = np.array([int(r.levels.max()) for r in included])
+    for name, column in report.columns.items():
+        if name.startswith("ap_level_"):
+            undefined = deepest < int(name.removeprefix("ap_level_"))
+        elif name.startswith("recall_at_"):
+            undefined = deepest < depth
+        else:
+            undefined = np.zeros(len(included), dtype=bool)
+        assert np.array_equal(np.isnan(column), undefined), name
+        defined = [float(v) for v in column if not math.isnan(v)]
+        mean = report.mean(name)
+        assert mean == float(np.mean(defined)) if defined else math.isnan(mean), name
 
 
 def test_holdout_report_equals_evaluate_dataset_over_hand_built_lists():
@@ -253,7 +282,7 @@ def test_holdout_report_equals_evaluate_dataset_over_hand_built_lists():
     expected = evaluate_dataset(lists, ks=config.recall_ks, depth=depth)
     report = evaluate_state(state, ds)
     assert report.to_json_dict() == expected.to_json_dict()
-    assert report.per_query == expected.per_query
+    assert per_query(report) == per_query(expected)
 
 
 # --- ancestor levels ------------------------------------------------------------------

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import alpha_relevance, oracle_ancestor_level, weighted_relevance
+from conftest import alpha_relevance, oracle_ancestor_level, per_query, weighted_relevance
 from hirank.cli import main
 from hirank.metrics import ScoredRanking, evaluate_dataset
 from hirank.synthgen import SynthSpec, generate
@@ -96,7 +96,7 @@ def library_report(paths: dict, rows, profile: str) -> str:
         rankings.append(ScoredRanking(q, tuple(c for c, _ in pairs),
                                       np.array([s for _, s in pairs]), rel, levels))
     report = evaluate_dataset(rankings, ks=KS, depth=depth)
-    return json.dumps({"report": report.to_json_dict(), "per_query": report.per_query})
+    return json.dumps({"report": report.to_json_dict(), "per_query": per_query(report)})
 
 
 def golden_reports() -> dict[str, dict]:

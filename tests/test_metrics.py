@@ -386,6 +386,13 @@ class TestRecallAtK:
         r = binary([2.0, 1.0], [0, 1])
         assert recall_at_k(r, 10, 1) == 1
 
+    @pytest.mark.parametrize("level", [0, -3])
+    def test_level_below_one_is_rejected(self, level):
+        # top-1 is a negative, which a level below 1 would count as a hit
+        r = binary([2.0, 1.0], [0, 1])
+        with pytest.raises(ValueError, match=f"^level must be >= 1, got {level}$"):
+            recall_at_k(r, 1, level)
+
     def test_tie_at_boundary_uses_id_order(self):
         r = ScoredRanking(
             "q", ("b", "a"),
@@ -402,7 +409,7 @@ class TestEvaluateDataset:
         perfect = binary([2.0, 1.0], [1, 0])
         half = binary([2.0, 1.0], [0, 1])
         report = evaluate_dataset([perfect, half], ks=(1,), depth=1)
-        assert report.h_ap == pytest.approx(0.75, abs=1e-12)
+        assert report.mean("h_ap") == pytest.approx(0.75, abs=1e-12)
         assert report.queries == 2
         assert report.excluded == 0
 
@@ -412,7 +419,13 @@ class TestEvaluateDataset:
         report = evaluate_dataset([good, empty], ks=(1,), depth=1)
         assert report.queries == 1
         assert report.excluded == 1
-        assert report.h_ap == pytest.approx(1.0)
+        assert report.mean("h_ap") == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_is_rejected(self, depth):
+        r = binary([2.0, 1.0], [0, 1])
+        with pytest.raises(ValueError, match=f"^depth must be >= 1, got {depth}$"):
+            evaluate_dataset([r], ks=(1,), depth=depth)
 
     def test_all_empty_raises(self):
         with pytest.raises(AllQueriesEmptyError):
@@ -422,7 +435,7 @@ class TestEvaluateDataset:
         rankings = [make_ranking(rng, 10, 2) for _ in range(50)]
         report = evaluate_dataset(rankings, ks=(1,), depth=2)
         direct = np.mean([oracle_h_ap(r.scores, r.relevance) for r in rankings])
-        assert report.h_ap == pytest.approx(float(direct), abs=1e-12)
+        assert report.mean("h_ap") == pytest.approx(float(direct), abs=1e-12)
 
     def test_cutoff_order_does_not_change_the_report(self, fixture_875):
         sorted_ks = evaluate_dataset([fixture_875], ks=(1, 4), depth=3).to_json_dict()
