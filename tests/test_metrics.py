@@ -26,6 +26,7 @@ from hirank.errors import (
     UnknownInstanceError,
 )
 from hirank.metrics import (
+    MetricsReport,
     ScoredRanking,
     ap_level,
     asi,
@@ -442,6 +443,18 @@ class TestEvaluateDataset:
         report = evaluate_dataset([fixture_875], ks=(4, 1), depth=3).to_json_dict()
         assert report == sorted_ks
         assert list(report["recall_at_k"]) == ["1", "4"]
+
+    def test_mean_sums_the_defined_entries_alone(self, rng):
+        # np.nanmean would sum zeros in place of the nans, which regroups the
+        # pairwise sum and moves the last bit of some means
+        columns = {f"c{i}": np.where(rng.random(300) < 0.2, np.nan, rng.random(300))
+                   for i in range(20)}
+        columns["empty"] = np.full(300, np.nan)
+        report = MetricsReport([f"q{i}" for i in range(300)], 0, columns)
+        for name, column in columns.items():
+            defined = [float(v) for v in column if not math.isnan(v)]
+            mean = report.mean(name)
+            assert mean == float(np.mean(defined)) if defined else math.isnan(mean), name
 
     def test_json_key_order(self, fixture_875):
         report = evaluate_dataset([fixture_875], ks=(1, 4), depth=3)
