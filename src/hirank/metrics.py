@@ -300,7 +300,7 @@ class MetricsReport:
     def mean(self, name: str) -> float:
         """The mean of a column over its defined entries, nan if it has none."""
         column = self.columns[name]
-        # np.nanmean would sum zeros in place of the nans, in another grouping
+        # zeros summed in place of the nans would regroup the pairwise sum
         defined = column[~np.isnan(column)]
         return float(np.mean(defined)) if len(defined) else float("nan")
 

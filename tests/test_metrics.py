@@ -445,8 +445,8 @@ class TestEvaluateDataset:
         assert list(report["recall_at_k"]) == ["1", "4"]
 
     def test_mean_sums_the_defined_entries_alone(self, rng):
-        # np.nanmean would sum zeros in place of the nans, which regroups the
-        # pairwise sum and moves the last bit of some means
+        # zeros summed in place of the nans (as np.nanmean does) would regroup
+        # the pairwise sum and move the last bit of some means
         columns = {f"c{i}": np.where(rng.random(300) < 0.2, np.nan, rng.random(300))
                    for i in range(20)}
         columns["empty"] = np.full(300, np.nan)
