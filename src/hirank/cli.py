@@ -27,12 +27,6 @@ USAGE_EXIT = 1
 DATA_EXIT = 2
 CHECK_EXIT = 3
 
-# `gradcheck.CHECKS` with "all", `DEFAULT_EPS` and `DEFAULT_TOL`, written out
-# so that the parser does not import gradcheck and losses (a test compares them)
-GRADCHECK_CHOICES = ["heaviside", "surrogate", "clustering", "cosine", "combined", "all"]
-GRADCHECK_EPS = 1e-5
-GRADCHECK_TOL = 1e-4
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad usage; this tool reserves 2 for data."""
@@ -101,12 +95,15 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--quiet", action="store_true")
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of analytic gradients")
-    p.add_argument("--what", choices=GRADCHECK_CHOICES, default="all")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--eps", type=float, default=GRADCHECK_EPS)
-    p.add_argument("--tol", type=float, default=GRADCHECK_TOL)
-    p.add_argument("--seed", type=int, default=0)
+    # unset flags stay out of `args`, so `gradcheck.run_checks` supplies their defaults
+    p = sub.add_parser("gradcheck", help="finite-difference check of analytic gradients",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--what", dest="names", metavar="WHAT", help="one check family, or all",
+                   type=lambda what: None if what == "all" else [what])
+    p.add_argument("--trials", type=int)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--seed", type=int)
 
     return parser
 
@@ -189,14 +186,12 @@ def cmd_train(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .gradcheck import run_checks
 
-    names = None if args.what == "all" else [args.what]
-    results = run_checks(names, trials=args.trials, eps=args.eps, tol=args.tol, seed=args.seed)
+    results = run_checks(**{k: v for k, v in vars(args).items() if k != "command"})
     for res in results:
         print(res.line())
     failed = [res for res in results if not res.passed]
     for res in failed:
-        replay = {**res.worst_config, "seed": args.seed, "eps": args.eps, "tol": args.tol}
-        print(f"replay: {json.dumps(replay, sort_keys=True)}")
+        print(res.replay_line())
     return 0 if not failed else CHECK_EXIT
 
 

@@ -78,10 +78,6 @@ class RetrievalDataset:
             )
 
     @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-    @property
     def holdout_ids(self) -> frozenset[str]:
         return frozenset(
             i for i in self.ids if self.taxonomy.leaf(i) in self.holdout_classes
@@ -92,12 +88,6 @@ class RetrievalDataset:
         return tuple(
             i for i in self.ids if self.taxonomy.leaf(i) not in self.holdout_classes
         )
-
-    def feature(self, instance_id: str) -> np.ndarray:
-        try:
-            return self.features[self.row_of[instance_id]]
-        except KeyError:
-            raise UnknownInstanceError(instance_id) from None
 
 
 def parse_features(text: str) -> tuple[tuple[str, ...], np.ndarray]:

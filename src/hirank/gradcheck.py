@@ -16,6 +16,7 @@ replayed exactly.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -51,6 +52,8 @@ class CheckResult:
     trials: int
     max_rel_err: float
     tol: float
+    eps: float
+    seed: int
     worst_config: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -63,6 +66,11 @@ class CheckResult:
             f"{self.name}: {self.trials} trials, "
             f"max rel err {self.max_rel_err:.3e} (tol {self.tol:.1e}) {status}"
         )
+
+    def replay_line(self) -> str:
+        """The worst trial's inputs with the seed, eps and tol that replay it."""
+        replay = {**self.worst_config, "seed": self.seed, "eps": self.eps, "tol": self.tol}
+        return f"replay: {json.dumps(replay, sort_keys=True)}"
 
 
 def numeric_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, eps: float) -> np.ndarray:
@@ -295,5 +303,5 @@ def run_checks(
             err = max_rel_err(analytic, numeric)
             if err >= worst_err:
                 worst_err, worst_config = err, {"check": name, **config}
-        results.append(CheckResult(name, trials, worst_err, tol, worst_config))
+        results.append(CheckResult(name, trials, worst_err, tol, eps, seed, worst_config))
     return results

@@ -308,11 +308,15 @@ class MetricsReport:
         """The mean metrics in report order."""
         return [(name, self.mean(name)) for name in self.columns]
 
+    def json_items(self) -> list[tuple[str, float | None]]:
+        """The metric items, a mean that no query defines as None (JSON has no nan)."""
+        return [(name, None if math.isnan(v) else v) for name, v in self.metric_items()]
+
     def to_json_dict(self) -> dict:
-        """The metric items, with the recall cutoffs nested under recall_at_k."""
+        """The JSON items, with the recall cutoffs nested under recall_at_k."""
         out: dict = {"queries": self.queries, "excluded": self.excluded}
-        recall: dict[str, float] = {}
-        for name, value in self.metric_items():
+        recall: dict[str, float | None] = {}
+        for name, value in self.json_items():
             k = name.removeprefix("recall_at_")
             if k != name:
                 recall[k] = value

@@ -34,15 +34,10 @@ _BLOCK = 1 << 16  # characters per block of `_record_blocks`: it bounds the stri
 
 @dataclass(frozen=True)
 class Taxonomy:
-    """Immutable label tree of uniform depth.
-
-    ``entries`` maps each instance id to its label path; ``level_sizes[l-1]``
-    is the number of distinct labels at level ``l`` (1-based, coarsest first).
-    """
+    """Immutable label tree of uniform depth: ``entries`` maps each id to its label path."""
 
     depth: int
     entries: Mapping[str, LabelPath]
-    level_sizes: tuple[int, ...]
 
     def path(self, instance_id: str) -> LabelPath:
         try:
@@ -234,9 +229,7 @@ def parse_taxonomy(text: str) -> Taxonomy:
     leaves = {p[-1] for p in entries.values()}
     if len(leaves) < 2:
         raise TooFewLeavesError(f"need at least 2 distinct leaf labels, got {len(leaves)}")
-    # node ids are global (checked above), so distinct labels are distinct prefixes
-    level_sizes = tuple(len({p[l] for p in entries.values()}) for l in range(depth))
-    return Taxonomy(depth=depth, entries=entries, level_sizes=level_sizes)
+    return Taxonomy(depth=depth, entries=entries)
 
 
 def format_taxonomy(tax: Taxonomy) -> str:

@@ -489,13 +489,13 @@ def fit(
             rep = evaluate_state(state, ds)
         record: dict = {"epoch": state.epoch, "step": state.step, "lr": state.learning_rate()}
         record.update(loss_avgs or {})
-        record.update(rep.metric_items())
+        record.update(rep.json_items())
         state.history.append(record)
         if log is not None:
             log(
                 f"epoch {state.epoch}/{config.epochs} "
                 + (f"loss {record['loss']:.4f} " if "loss" in record else "")
-                + f"h_ap {record['h_ap']:.4f} ap_level_1 {record['ap_level_1']:.4f}"
+                + f"h_ap {rep.mean('h_ap'):.4f} ap_level_1 {rep.mean('ap_level_1'):.4f}"
             )
         return rep
 

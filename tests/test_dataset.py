@@ -42,15 +42,8 @@ def small_dataset():
 class TestRetrievalDataset:
     def test_split_properties(self):
         ds = small_dataset()
-        assert ds.dim == 2
         assert ds.holdout_ids == frozenset({"b1"})
         assert ds.train_ids == ("a1", "a2", "b2")
-
-    def test_feature_lookup(self):
-        ds = small_dataset()
-        assert np.array_equal(ds.feature("a2"), ds.features[1])
-        with pytest.raises(UnknownInstanceError):
-            ds.feature("ghost")
 
     def test_feature_row_count_must_match(self):
         tax = parse_taxonomy(TAXONOMY)

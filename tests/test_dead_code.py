@@ -10,8 +10,9 @@ Otherwise no caller, user or document needs it, and it is dead code.
 
 A method, property or annotated field of a class must likewise be named
 somewhere in the package source (dunders are exempt; a field's own
-declaration does not count, a keyword argument does), or be mentioned in
-README.md or in the benchmark harness (`perfbench/*.py`).
+declaration does not count, a keyword argument does), or be mentioned as
+code in README.md or in the benchmark harness (`perfbench/*.py`): as
+`` `name` ``, `.name` or `name(`, so a word of prose keeps no member.
 
 A name that a module imports must be read in that module. `from __future__`
 imports are exempt, and so are the names `hirank/__init__` re-exports in
@@ -22,6 +23,8 @@ import ast
 import re
 import shutil
 from pathlib import Path
+
+import pytest
 
 import hirank
 
@@ -77,6 +80,11 @@ def unused_imports(package: Path = PACKAGE) -> list[str]:
     return unused
 
 
+def mentioned_as_code(name: str, docs: str) -> bool:
+    name = re.escape(name)
+    return re.search(rf"`{name}`|\.{name}\b|\b{name}\(", docs) is not None
+
+
 def unused_members(package: Path = PACKAGE) -> list[str]:
     trees = parse_package(package)
     # the targets of annotated class fields, which declare a name, not read it
@@ -106,7 +114,7 @@ def unused_members(package: Path = PACKAGE) -> list[str]:
                     name = node.target.id
                 else:
                     continue
-                if name.startswith("__") or name in named or re.search(rf"\b{re.escape(name)}\b", docs):
+                if name.startswith("__") or name in named or mentioned_as_code(name, docs):
                     continue
                 unused.append(f"{module}.{cls.name}.{name}")
     return unused
@@ -134,6 +142,17 @@ def test_an_orphaned_private_helper_is_found(tmp_path):
 
 def test_every_class_member_has_a_reader():
     assert unused_members() == []
+
+
+@pytest.mark.parametrize("docs, kept", [
+    ("the `feature` row", True),
+    ("reads ds.feature for each id", True),
+    ("feature(id) returns a row", True),
+    ("the feature space", False),
+    ("`features`, ds.features, features(x)", False),
+])
+def test_only_a_mention_as_code_keeps_a_member(docs, kept):
+    assert mentioned_as_code("feature", docs) == kept
 
 
 def test_an_orphaned_class_member_is_found(tmp_path):

@@ -42,7 +42,7 @@ class TestGenerate:
     def test_shape_two_by_two(self):
         ds = generate(SynthSpec(branching=(2, 2), instances_per_leaf=5, dim=6))
         assert ds.taxonomy.depth == 2
-        assert ds.taxonomy.level_sizes[-1] == 4
+        assert len({ds.taxonomy.leaf(i) for i in ds.ids}) == 4
         assert len(ds.ids) == 20
         assert ds.features.shape == (20, 6)
         assert np.all(np.isfinite(ds.features))

@@ -40,12 +40,6 @@ class TestParseTaxonomy:
         assert len(tax.entries) == 2
         assert tax.path("a") == ("v", "c", "l1")
 
-    def test_level_sizes_count_distinct_prefixes(self):
-        tax = parse_taxonomy(VEHICLES)
-        assert tax.depth == 3
-        # roots {vehicles, plants}; groups {cars, boats, trees}; 4 leaf classes
-        assert tax.level_sizes == (2, 3, 4)
-
     def test_ragged_depth_names_line(self):
         with pytest.raises(RaggedDepthError, match="line 2"):
             parse_taxonomy("a\tv/c\nb\tv\n")
@@ -79,7 +73,7 @@ class TestParseTaxonomy:
         tax = parse_taxonomy(VEHICLES)
         again = parse_taxonomy(format_taxonomy(tax))
         assert again.entries == dict(tax.entries)
-        assert again.level_sizes == tax.level_sizes
+        assert again.depth == tax.depth
 
     def test_format_round_trip_non_ascii(self):
         tax = parse_taxonomy("é1\tпути/ß/漢\nø2\tпути/ß/ü\n")
