@@ -11,10 +11,11 @@ import pytest
 from hirank import dataset
 from hirank import trainer as trainer_mod
 from hirank.cli import main, parse_relevance_flag
-from hirank.dataset import FEATURES_FILE, SPLIT_FILE, TAXONOMY_FILE, load_dataset
+from hirank.dataset import FEATURES_FILE, SPLIT_FILE, TAXONOMY_FILE, load_dataset, write_dataset
 from hirank.gradcheck import DEFAULT_EPS, run_checks
 from hirank.losses import cosine_matrix
 from hirank.metrics import ScoredRanking, evaluate_dataset
+from hirank.synthgen import SynthSpec, generate
 from hirank.trainer import EMBEDDINGS_FILE, HISTORY_FILE, REPORT_FILE, STATE_FILE
 
 FIXTURE_TAXONOMY = (
@@ -74,6 +75,12 @@ class TestSynthCommand:
         assert "wrote 12 instances over 6 leaf classes" in capsys.readouterr().out
         for name in (TAXONOMY_FILE, FEATURES_FILE, SPLIT_FILE):
             assert (out / name).exists()
+
+    def test_unset_flags_write_the_synth_spec_defaults(self, tmp_path, capsys):
+        assert run(["synth", "--out", str(tmp_path / "cli")]) == 0
+        write_dataset(generate(SynthSpec()), tmp_path / "lib")
+        for name in (TAXONOMY_FILE, FEATURES_FILE, SPLIT_FILE):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
     def test_bad_branching_is_usage_error(self, tmp_path, capsys):
         code = run(["synth", "--out", str(tmp_path / "d"), "--branching", "2,0"])
@@ -1039,6 +1046,25 @@ options:
   -h, --help            show this help message and exit
 """
 
+SYNTH_HELP = """\
+usage: hirank synth [-h] --out OUT [--branching BRANCHING]
+                    [--per-leaf PER_LEAF] [--dim DIM] [--seed SEED]
+                    [--holdout-fraction HOLDOUT_FRACTION] [--spread SPREAD]
+                    [--noise NOISE]
+
+options:
+  -h, --help            show this help message and exit
+  --out OUT
+  --branching BRANCHING
+                        children per level, e.g. 4,4,4
+  --per-leaf PER_LEAF   instances per leaf class
+  --dim DIM
+  --seed SEED
+  --holdout-fraction HOLDOUT_FRACTION
+  --spread SPREAD       per-level center spread, e.g. 2,1,0.5
+  --noise NOISE
+"""
+
 GRADCHECK_HELP = """\
 usage: hirank gradcheck [-h] [--what WHAT] [--trials TRIALS] [--eps EPS]
                         [--tol TOL] [--seed SEED]
@@ -1055,8 +1081,9 @@ options:
 
 @pytest.mark.parametrize("argv, text", [
     (["--help"], HELP),
+    (["synth", "--help"], SYNTH_HELP),
     (["gradcheck", "--help"], GRADCHECK_HELP),
-], ids=["hirank", "gradcheck"])
+], ids=["hirank", "synth", "gradcheck"])
 def test_help_text_is_unchanged(monkeypatch, capsys, argv, text):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exit_info:
