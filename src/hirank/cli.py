@@ -67,15 +67,19 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hirank", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset directory")
+    # unset flags stay out of `args`, so `SynthSpec` supplies their defaults
+    p = sub.add_parser("synth", help="generate a synthetic dataset directory",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--branching", default="4,4,4", help="children per level, e.g. 4,4,4")
-    p.add_argument("--per-leaf", type=int, default=10, help="instances per leaf class")
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--holdout-fraction", type=float, default=0.25)
-    p.add_argument("--spread", default=None, help="per-level center spread, e.g. 2,1,0.5")
-    p.add_argument("--noise", type=float, default=None)
+    p.add_argument("--branching", help="children per level, e.g. 4,4,4")
+    p.add_argument("--per-leaf", dest="instances_per_leaf", metavar="PER_LEAF", type=int,
+                   help="instances per leaf class")
+    p.add_argument("--dim", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--holdout-fraction", type=float)
+    p.add_argument("--spread", dest="level_spread", metavar="SPREAD",
+                   help="per-level center spread, e.g. 2,1,0.5")
+    p.add_argument("--noise", type=float)
 
     p = sub.add_parser("eval", help="evaluate a scores file against a taxonomy")
     p.add_argument("--taxonomy", required=True, type=Path)
@@ -120,15 +124,12 @@ def cmd_synth(args) -> int:
     from .dataset import write_dataset
     from .synthgen import SynthSpec, generate
 
-    spec = SynthSpec(
-        branching=tuple(_flag("--branching", args.branching, _int_list)),
-        instances_per_leaf=args.per_leaf,
-        dim=args.dim,
-        level_spread=tuple(_flag("--spread", args.spread, _float_list)) if args.spread else None,
-        noise=args.noise,
-        holdout_fraction=args.holdout_fraction,
-        seed=args.seed,
-    )
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    if "branching" in given:
+        given["branching"] = _flag("--branching", args.branching, _int_list)
+    if "level_spread" in given:
+        given["level_spread"] = _flag("--spread", args.level_spread, _float_list)
+    spec = SynthSpec(**given)
     ds = generate(spec)
     _write(args.out, lambda: write_dataset(ds, args.out))
     print(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import RetrievalDataset
 from .errors import TooFewLeavesError
-from .taxonomy import parse_taxonomy
+from .taxonomy import LabelPath, Taxonomy
 
 
 @dataclass(frozen=True)
@@ -90,15 +90,12 @@ def generate(spec: SynthSpec) -> RetrievalDataset:
                 grown.append((path + (name,), child))
         frontier = grown
 
-    ids: list[str] = []
     rows: list[np.ndarray] = []
-    lines: list[str] = []
+    entries: dict[str, LabelPath] = {}
     for path, center in frontier:
         for i in range(spec.instances_per_leaf):
-            instance_id = f"{path[-1]}#{i}"
-            ids.append(instance_id)
             rows.append(center + spec.instance_noise() * rng.standard_normal(spec.dim))
-            lines.append(f"{instance_id}\t{'/'.join(path)}")
+            entries[f"{path[-1]}#{i}"] = path
 
     holdout: frozenset[str] = frozenset()
     if spec.holdout_fraction > 0:
@@ -114,5 +111,4 @@ def generate(spec: SynthSpec) -> RetrievalDataset:
         picked = sorted(rng.choice(spec.num_leaves, size=n_hold, replace=False))
         holdout = frozenset(frontier[i][0][-1] for i in picked)
 
-    taxonomy = parse_taxonomy("\n".join(lines) + "\n")
-    return RetrievalDataset(taxonomy, tuple(ids), np.asarray(rows), holdout)
+    return RetrievalDataset(Taxonomy(spec.depth, entries), tuple(entries), np.array(rows), holdout)

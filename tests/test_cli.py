@@ -82,6 +82,23 @@ class TestSynthCommand:
         for name in (TAXONOMY_FILE, FEATURES_FILE, SPLIT_FILE):
             assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
+    def test_a_custom_spread_reaches_the_generator(self, tmp_path, capsys):
+        # 2,1,0.5 is the default halving, so a spread that differs from it
+        assert run(["synth", "--out", str(tmp_path / "cli"), "--spread", "3,1.5,0.25"]) == 0
+        write_dataset(generate(SynthSpec(level_spread=(3.0, 1.5, 0.25))), tmp_path / "custom")
+        write_dataset(generate(SynthSpec()), tmp_path / "default")
+        features = (tmp_path / "cli" / FEATURES_FILE).read_bytes()
+        assert features == (tmp_path / "custom" / FEATURES_FILE).read_bytes()
+        assert features != (tmp_path / "default" / FEATURES_FILE).read_bytes()
+
+    def test_an_empty_spread_is_usage_error(self, tmp_path, capsys):
+        # an empty --spread gives no level a spread; it does not mean "unset"
+        assert run(["synth", "--out", str(tmp_path / "d"), "--spread", ""]) == 1
+        assert capsys.readouterr().err == (
+            "hirank synth: level_spread needs one positive finite value per level\n"
+        )
+        assert not (tmp_path / "d").exists()
+
     def test_bad_branching_is_usage_error(self, tmp_path, capsys):
         code = run(["synth", "--out", str(tmp_path / "d"), "--branching", "2,0"])
         assert code == 1
