@@ -477,22 +477,25 @@ def read_scores(source: str | Iterable[str], taxonomy: Taxonomy) -> ScoreTable:
 
 def _raise_score_error(blocks: Iterable[str], row_of: Mapping[str, int]) -> NoReturn:
     """Raise the first error of a scores text that holds one, in `read_scores`' order."""
-    late, seen = None, set()
-    lines = records("".join(blocks), "query<TAB>candidate<TAB>score")
-    for lineno, (query, candidate, score) in lines:
-        try:
-            value = float(score)
-        except ValueError:
-            raise MalformedRecordError(f"line {lineno}: bad score {score!r}") from None
-        if query not in row_of:
-            raise UnknownInstanceError(query)
-        if candidate not in row_of:
-            raise UnknownInstanceError(candidate)
-        if late is None and not math.isfinite(value):
-            late = MalformedRecordError(f"line {lineno}: score {score!r} is not finite")
-        if late is None and (query, candidate) in seen:
-            late = DuplicateInstanceError(
-                f"line {lineno}: candidate {candidate!r} repeated for query {query!r}"
-            )
-        seen.add((query, candidate))
+    late, seen, start = None, set(), 1  # a block at a time, each pair seen as one int
+    for block in blocks:
+        lines = records(block, "query<TAB>candidate<TAB>score", start)
+        for lineno, (query, candidate, score) in lines:
+            try:
+                value = float(score)
+            except ValueError:
+                raise MalformedRecordError(f"line {lineno}: bad score {score!r}") from None
+            if query not in row_of:
+                raise UnknownInstanceError(query)
+            if candidate not in row_of:
+                raise UnknownInstanceError(candidate)
+            pair = row_of[query] * len(row_of) + row_of[candidate]
+            if late is None and not math.isfinite(value):
+                late = MalformedRecordError(f"line {lineno}: score {score!r} is not finite")
+            if late is None and pair in seen:
+                late = DuplicateInstanceError(
+                    f"line {lineno}: candidate {candidate!r} repeated for query {query!r}"
+                )
+            seen.add(pair)
+        start += block.count("\n")
     raise late

@@ -168,14 +168,15 @@ def ancestor_levels(codes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
     return level
 
 
-def records(text: str, layout: str) -> Iterator[tuple[int, list[str]]]:
+def records(text: str, layout: str, start: int = 1) -> Iterator[tuple[int, list[str]]]:
     """Yield `(line number, fields)` per non-blank line, trailing carriage returns stripped.
 
-    A line with an empty field or another field count than `layout` (e.g.
-    "id<TAB>path") raises MalformedRecordError naming its 1-based number.
+    Lines are numbered from `start`. A line with an empty field or another
+    field count than `layout` (e.g. "id<TAB>path") raises MalformedRecordError
+    naming its number.
     """
     width = layout.count("<TAB>") + 1
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=start):
         line = raw.rstrip("\r")
         if not line:
             continue

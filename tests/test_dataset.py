@@ -244,6 +244,14 @@ class TestAtomicWrite:
         # no stray temp files left behind
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+    def test_a_failed_write_keeps_the_old_file_and_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        write_text_atomic(target, "first\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_text_atomic(target, "lone \ud800 surrogate\n")  # UTF-8 cannot encode it
+        assert target.read_text() == "first\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
 
 class TestDatasetIo:
     def test_directory_round_trip(self, tmp_path):

