@@ -83,7 +83,7 @@ class TestSynthCommand:
             assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
     def test_a_custom_spread_reaches_the_generator(self, tmp_path, capsys):
-        # 2,1,0.5 is the default halving, so a spread that differs from it
+        # the default spread is 2,1,0.5, so a custom one must differ from it to show
         assert run(["synth", "--out", str(tmp_path / "cli"), "--spread", "3,1.5,0.25"]) == 0
         write_dataset(generate(SynthSpec(level_spread=(3.0, 1.5, 0.25))), tmp_path / "custom")
         write_dataset(generate(SynthSpec()), tmp_path / "default")

@@ -655,7 +655,7 @@ class TestParseScores:
         self, tmp_path, last, error, message
     ):
         # the error is found again one block at a time, each pair seen kept as one int:
-        # about 3x, against 9.7x when the whole text is split and its pairs kept as strings
+        # about 3.1x, against 9.8x when the whole text is split and its pairs kept as strings
         pairs = list(permutations(ALL_PAIRS_IDS, 2))
         path = tmp_path / "scores.tsv"
         path.write_text("".join(f"{q}\t{c}\t{math.sin(k)!r}\n"
