@@ -19,7 +19,7 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TypeVar
@@ -51,7 +51,6 @@ class RetrievalDataset:
     ids: tuple[str, ...]
     features: np.ndarray
     holdout_classes: frozenset[str] = frozenset()
-    row_of: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.ids = tuple(self.ids)
@@ -60,7 +59,6 @@ class RetrievalDataset:
             raise ValueError("one feature row per instance id required")
         if not np.all(np.isfinite(self.features)):
             raise MalformedRecordError("features must be finite")
-        self.row_of = {i: r for r, i in enumerate(self.ids)}
         known = set(self.taxonomy.entries)
         missing = known - set(self.ids)
         extra = set(self.ids) - known
@@ -81,12 +79,6 @@ class RetrievalDataset:
     def holdout_ids(self) -> frozenset[str]:
         return frozenset(
             i for i in self.ids if self.taxonomy.leaf(i) in self.holdout_classes
-        )
-
-    @property
-    def train_ids(self) -> tuple[str, ...]:
-        return tuple(
-            i for i in self.ids if self.taxonomy.leaf(i) not in self.holdout_classes
         )
 
 

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import RetrievalDataset, format_features, write_text_atomic
-from .errors import InsufficientClassesError, NonFiniteLossError
+from .errors import AllQueriesEmptyError, InsufficientClassesError, NonFiniteLossError
 from .losses import (
     LossGradients,
     ProxyBank,
@@ -345,7 +345,9 @@ def init_state(ds: RetrievalDataset, config: TrainerConfig) -> TrainerState:
     """Seeded setup; the draw order (proxies, then model) is part of the contract."""
     rng = np.random.default_rng(config.seed)
     codes = ds.taxonomy.row_codes[[ds.taxonomy.row_of[i] for i in ds.ids]]
-    train_rows = np.array([ds.row_of[i] for i in ds.train_ids], dtype=np.int64)
+    holdout = ds.holdout_ids
+    held = np.array([i in holdout for i in ds.ids], dtype=bool)
+    train_rows = np.flatnonzero(~held)
     if len(train_rows) == 0:
         raise InsufficientClassesError("no training instances outside the holdout")
     classes, inverse = string_ranks([ds.taxonomy.leaf(ds.ids[r]) for r in train_rows])
@@ -364,10 +366,8 @@ def init_state(ds: RetrievalDataset, config: TrainerConfig) -> TrainerState:
         model: TableModel | LinearModel = TableModel(len(ds.ids), config.dim, rng)
     else:
         model = LinearModel(ds.features, config.dim, rng)
-    # the rows outside training, in dataset order
-    eval_rows = (
-        np.delete(np.arange(len(ds.ids)), train_rows) if ds.holdout_classes else train_rows
-    )
+    # the holdout rows in dataset order, or the training rows if there is no holdout
+    eval_rows = np.flatnonzero(held) if holdout else train_rows
     steps_per_epoch = max(1, math.ceil(len(train_rows) / config.batch_size))
     return TrainerState(
         config=config,
@@ -479,9 +479,16 @@ def fit(
     """Train on the non-holdout split; returns embeddings for every instance.
 
     With epochs=0 no step runs and the history holds one evaluation of the
-    freshly initialized model.
+    freshly initialized model. An evaluation in which no query has a positive
+    candidate raises AllQueriesEmptyError before any step.
     """
     state = init_state(ds, config)
+    # under the eval's alpha-1 profile, a query's positives share its level-1 label
+    if np.bincount(state.codes[state.eval_rows, 0]).max() < 2:
+        raise AllQueriesEmptyError(
+            f"no evaluation query has a positive candidate: no two of the "
+            f"{len(state.eval_rows)} evaluation rows share a level-1 label"
+        )
     report: MetricsReport | None = None
 
     def record_eval(loss_avgs: dict | None) -> MetricsReport:

@@ -329,6 +329,15 @@ class TestEvalCommand:
         assert run(base + ["--out", str(out3), "--threads", "3"]) == 0
         assert out1.read_bytes() == out3.read_bytes()
 
+    def test_zero_threads_is_a_usage_error(self, tmp_path, capsys):
+        tax, sco = write_eval_inputs(tmp_path)
+        out = tmp_path / "r.json"
+        code = run(["eval", "--taxonomy", str(tax), "--scores", str(sco), "--out", str(out),
+                    "--threads", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "hirank eval: --threads must be >= 1\n"
+        assert not out.exists()
+
     def test_weights_profile(self, tmp_path):
         tax, sco = write_eval_inputs(tmp_path)
         code = run([
@@ -567,6 +576,21 @@ class TestTrainCommand:
             assert (out / name).exists()
         stdout = capsys.readouterr().out
         assert f"wrote {out}" in stdout
+
+    def test_an_eval_without_a_positive_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert run(["synth", "--out", str(data), "--branching", "4,2", "--per-leaf", "1",
+                    "--seed", "1", "--dim", "4"]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"epochs": 3, "batch_size": 4, "m_per_class": 1,
+                                      "model": {"dim": 4}, "eval_every": 5}))
+        capsys.readouterr()
+        code = run(["train", "--data", str(data), "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == ("", (
+            "hirank train: no evaluation query has a positive candidate: "
+            "no two of the 2 evaluation rows share a level-1 label\n"))
+        assert not out.exists()
 
     def test_history_lists_recall_cutoffs_in_ascending_order(self, tmp_path):
         data, config = write_train_inputs(tmp_path, {"recall_ks": [4, 1]})

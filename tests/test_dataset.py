@@ -43,7 +43,7 @@ class TestRetrievalDataset:
     def test_split_properties(self):
         ds = small_dataset()
         assert ds.holdout_ids == frozenset({"b1"})
-        assert ds.train_ids == ("a1", "a2", "b2")
+        assert [i for i in ds.ids if i not in ds.holdout_ids] == ["a1", "a2", "b2"]
 
     def test_feature_row_count_must_match(self):
         tax = parse_taxonomy(TAXONOMY)
@@ -279,7 +279,7 @@ class TestDatasetIo:
         (tmp_path / SPLIT_FILE).unlink()
         back = load_dataset(tmp_path)
         assert back.holdout_classes == frozenset()
-        assert back.train_ids == back.ids
+        assert back.holdout_ids == frozenset()
 
     @pytest.mark.parametrize(
         "name, text, message",

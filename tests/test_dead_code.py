@@ -14,15 +14,19 @@ declaration does not count, a keyword argument does), or be mentioned as
 code in README.md or in the benchmark harness (`perfbench/*.py`): as
 `` `name` ``, `.name` or `name(`, so a word of prose keeps no member.
 
-A name that a module imports must be read in that module. `from __future__`
-imports are exempt, and so are the names `hirank/__init__` re-exports in
-`__all__`.
+A name that a module imports must be read from that import: loaded in the
+scope that imports it, or in a scope nested in it that does not bind the name
+itself, or named in an annotation. A local of the same name reads only
+itself. `from __future__` imports are exempt, and so are the names
+`hirank/__init__` re-exports in `__all__`.
 """
 
 import ast
 import re
 import shutil
+import symtable
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -64,19 +68,46 @@ def unused_definitions(package: Path = PACKAGE) -> list[str]:
     return unused
 
 
+def free_loads(table: symtable.SymbolTable) -> set[str]:
+    """The names that a scope, or a scope nested in it, loads but does not bind."""
+    nested = set().union(*map(free_loads, table.get_children()))
+    if table.get_type() != "class":  # a class body's names are not visible to its methods
+        nested -= {s.get_name() for s in table.get_symbols() if s.is_local()}
+    return nested | {s.get_name() for s in table.get_symbols()
+                     if s.is_referenced() and not s.is_local()}
+
+
+def unread_imports(table: symtable.SymbolTable) -> Iterator[str]:
+    """The names each scope imports that neither it nor a scope nested in it
+    loads. A scope that binds the name itself reads its own binding."""
+    nested = set() if table.get_type() == "class" else set().union(
+        *map(free_loads, table.get_children()))
+    for s in table.get_symbols():
+        if s.is_imported() and not s.is_referenced() and s.get_name() not in nested:
+            yield s.get_name()
+    for child in table.get_children():
+        yield from unread_imports(child)
+
+
 def unused_imports(package: Path = PACKAGE) -> list[str]:
     unused = []
-    for module, tree in parse_package(package).items():
-        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        exported = hirank.__all__ if module == "__init__" else []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import) or (
-                isinstance(node, ast.ImportFrom) and node.module != "__future__"
-            ):
-                for alias in node.names:
-                    name = alias.asname or alias.name.split(".")[0]
-                    if name not in read and name not in exported:
-                        unused.append(f"{module}.{name}")
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        # an annotation is never evaluated (PEP 563), so the symbol table
+        # does not see the names in it
+        annotations = [a for node in ast.walk(tree) for a in (
+            [node.returns] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            else [node.annotation] if isinstance(node, (ast.arg, ast.AnnAssign)) else []) if a]
+        read = {n.id for a in annotations for n in ast.walk(a) if isinstance(n, ast.Name)}
+        read |= {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                 for alias in node.names}
+        if path.stem == "__init__":
+            read |= set(hirank.__all__)
+        unused += [f"{path.stem}.{name}"
+                   for name in unread_imports(symtable.symtable(source, path.name, "exec"))
+                   if name not in read]
     return unused
 
 
@@ -185,6 +216,27 @@ def test_an_unread_import_is_found(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(package) == ["metrics.os"]
+
+
+@pytest.mark.parametrize("planted, unused", [
+    # a local of the same name shadows the import: it reads no module name
+    ("import os\n\ndef _f(rows):\n    for os in rows:\n        yield os\n", ["metrics.os"]),
+    ("import os\n\ndef _f(rows):\n    return [os for os in rows]\n", ["metrics.os"]),
+    ("def _f():\n    import os\n\n    def g(os):\n        return os\n    return g\n",
+     ["metrics.os"]),
+    # a nested scope that does not bind the name reads the import
+    ("import os\n\ndef _f():\n    def g():\n        return os.sep\n    return g\n", []),
+    ("def _f():\n    import os\n    return lambda: os.sep\n", []),
+    ("import os\n\ndef _f():\n    global os\n    os = os.sep\n", []),
+    # an annotation is never evaluated, but it names the import
+    ("import os\n\ndef _f(rows: os.PathLike):\n    return rows\n", []),
+])
+def test_an_import_read_only_by_a_shadowing_local_is_found(tmp_path, planted, unused):
+    package = tmp_path / "hirank"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    with (package / "metrics.py").open("a", encoding="utf-8") as handle:
+        handle.write("\n\n" + planted)
+    assert unused_imports(package) == unused
 
 
 def test_an_unexported_import_in_init_is_found(tmp_path):

@@ -64,6 +64,10 @@ def test_an_unknown_family_is_a_value_error_naming_it(monkeypatch):
     )
 
 
+def test_the_error_between_two_empty_gradients_is_zero():
+    assert gradcheck.max_rel_err(np.array([]), np.array([])) == 0.0
+
+
 def test_clears_kinks_rejects_a_gap_at_a_kink():
     params = gradcheck.SmoothHeavisideParams()
     rows = np.array([[0.0, 0.5, -0.5], [0.0, 0.3, 0.9]])

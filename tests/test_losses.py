@@ -175,6 +175,10 @@ class TestHapSurrogate:
         with pytest.raises(ValueError, match="^relevance must be non-negative and finite$"):
             hap_surrogate(np.array([3.0, 2.0, 1.0]), np.array([1.0, bad, 0.0]))
 
+    def test_rejects_a_nan_score(self):
+        with pytest.raises(ValueError, match="^scores must be finite$"):
+            hap_surrogate(np.array([3.0, np.nan, 1.0]), np.array([1.0, 0.5, 0.0]))
+
     def test_negative_above_positive_signs(self):
         out = hap_surrogate(np.array([2.0, 1.0]), np.array([0.0, 1.0]))
         assert out.d_scores[1] < 0
@@ -209,6 +213,10 @@ class TestProxyBank:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             ProxyBank(("a", "a"), np.eye(2))
+
+    def test_more_vectors_than_class_ids_rejected(self):
+        with pytest.raises(ValueError, match="^one vector per class id required$"):
+            ProxyBank(("a",), np.eye(2))
 
     def test_zero_vector_rejected(self):
         bank = ProxyBank(("a", "b"), np.array([[1.0, 0.0], [0.0, 0.0]]))

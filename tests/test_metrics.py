@@ -70,6 +70,10 @@ class TestScoredRanking:
             with pytest.raises(ValueError, match="^relevance must be non-negative and finite$"):
                 ScoredRanking("q", ("a", "b", "c"), [3.0, 2.0, 1.0], [1.0, bad, 0.0], [1, 1, 0])
 
+    def test_an_array_of_another_shape_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^scores must have shape \(2,\), got \(1,\)$"):
+            ScoredRanking("q", ("a", "b"), [1.0], [1.0, 0.0], [1, 0])
+
     @pytest.mark.parametrize("levels", [[1.5, 1, 0], [-1, 1, 0], [np.nan, 1, 0], [np.inf, 1, 0]])
     def test_levels_must_be_non_negative_integers(self, levels):
         with pytest.raises(ValueError, match="^levels must be non-negative integers$"):
@@ -136,6 +140,10 @@ class TestHRank:
     def test_negative_rejected(self, fixture_875):
         with pytest.raises(NegativeQueryError):
             h_rank(fixture_875, 2)
+
+    def test_out_of_range(self, fixture_875):
+        with pytest.raises(IndexOutOfRangeError, match="^4$"):
+            h_rank(fixture_875, 4)
 
 
 class TestHAp:
@@ -394,6 +402,15 @@ class TestRecallAtK:
         with pytest.raises(ValueError, match=f"^level must be >= 1, got {level}$"):
             recall_at_k(r, 1, level)
 
+    def test_no_candidate_at_the_level_is_rejected(self):
+        r = binary([2.0, 1.0], [0, 1])
+        with pytest.raises(NoPositivesError, match="^query 'q' has no candidate at level >= 2$"):
+            recall_at_k(r, 1, 2)
+
+    def test_k_below_one_is_rejected(self):
+        with pytest.raises(IndexOutOfRangeError, match="^0$"):
+            recall_at_k(binary([2.0, 1.0], [0, 1]), 0, 1)
+
     def test_tie_at_boundary_uses_id_order(self):
         r = ScoredRanking(
             "q", ("b", "a"),
@@ -431,6 +448,14 @@ class TestEvaluateDataset:
     def test_all_empty_raises(self):
         with pytest.raises(AllQueriesEmptyError):
             evaluate_dataset([binary([1.0], [0])], ks=(1,), depth=1)
+
+    def test_no_ranking_raises(self):
+        with pytest.raises(AllQueriesEmptyError, match="^no query has a positive candidate$"):
+            evaluate_dataset([])
+
+    def test_a_cutoff_below_one_is_rejected(self):
+        with pytest.raises(IndexOutOfRangeError, match="^0$"):
+            evaluate_dataset([binary([2.0, 1.0], [1, 0])], ks=(0,))
 
     def test_mean_matches_recomputation(self, rng):
         rankings = [make_ranking(rng, 10, 2) for _ in range(50)]

@@ -37,6 +37,10 @@ class TestSynthSpec:
         with pytest.raises(ValueError):
             SynthSpec(holdout_fraction=1.0)
 
+    def test_dim_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="^dim must be >= 1$"):
+            SynthSpec(dim=0)
+
 
 class TestGenerate:
     def test_shape_two_by_two(self):
@@ -47,10 +51,14 @@ class TestGenerate:
         assert ds.features.shape == (20, 6)
         assert np.all(np.isfinite(ds.features))
 
+    def test_a_holdout_leaving_fewer_than_two_training_leaves_is_rejected(self):
+        with pytest.raises(TooFewLeavesError, match="^cannot hold out 4 of 4 leaf classes$"):
+            generate(SynthSpec(branching=(2, 2), holdout_fraction=0.9))
+
     def test_holdout_is_disjoint_leaf_classes(self):
         ds = generate(SynthSpec(branching=(3, 3), instances_per_leaf=4, dim=5))
         assert len(ds.holdout_classes) == round(0.25 * 9)
-        train_leaves = {ds.taxonomy.leaf(i) for i in ds.train_ids}
+        train_leaves = {ds.taxonomy.leaf(i) for i in ds.ids if i not in ds.holdout_ids}
         assert not (train_leaves & ds.holdout_classes)
         # every held-out class keeps all of its instances together
         for label in ds.holdout_classes:
@@ -79,8 +87,7 @@ class TestGenerate:
         ds = generate(spec)
         roots = sorted({ds.taxonomy.path(i)[0] for i in ds.ids})
         centroids = np.stack([
-            ds.features[[ds.row_of[i] for i in ds.ids
-                         if ds.taxonomy.path(i)[0] == r]].mean(axis=0)
+            ds.features[[ds.taxonomy.path(i)[0] == r for i in ds.ids]].mean(axis=0)
             for r in roots
         ])
         dist = np.linalg.norm(ds.features[:, None, :] - centroids[None], axis=2)
@@ -99,9 +106,9 @@ class TestGenerate:
         mean_of = {}
         path_of = {}
         for leaf in leaves:
-            members = [i for i in ds.ids if ds.taxonomy.leaf(i) == leaf]
-            mean_of[leaf] = ds.features[[ds.row_of[i] for i in members]].mean(axis=0)
-            path_of[leaf] = ds.taxonomy.path(members[0])
+            rows = [r for r, i in enumerate(ds.ids) if ds.taxonomy.leaf(i) == leaf]
+            mean_of[leaf] = ds.features[rows].mean(axis=0)
+            path_of[leaf] = ds.taxonomy.path(ds.ids[rows[0]])
         by_shared: dict[int, list[float]] = {0: [], 1: [], 2: []}
         for a, b in itertools.combinations(leaves, 2):
             shared = oracle_ancestor_level(path_of[a], path_of[b])

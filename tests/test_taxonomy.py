@@ -69,6 +69,11 @@ class TestParseTaxonomy:
         with pytest.raises(TooFewLeavesError):
             parse_taxonomy("a\tv/c/l\nb\tv/c/l\n")
 
+    def test_path_of_an_unknown_id(self):
+        tax = parse_taxonomy("a\tv/c/l1\nb\tv/c/l2\n")
+        with pytest.raises(UnknownInstanceError, match="^unknown instance id 'zz'$"):
+            tax.path("zz")
+
     def test_format_round_trip(self):
         tax = parse_taxonomy(VEHICLES)
         again = parse_taxonomy(format_taxonomy(tax))
@@ -143,6 +148,10 @@ def relevance(levels, profile, depth, query=None):
 
 
 class TestRelevanceProfiles:
+    def test_an_unknown_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="^unknown profile kind 'nope'$"):
+            RelevanceProfile("nope").level_table(np.array([1, 1]), skip_empty=False)
+
     def test_alpha_level_weights(self):
         # depth 3, alpha 1, one candidate per level: rel = l/3 directly
         rel, _ = relevance([3, 2, 1], RelevanceProfile.alpha(1.0), 3)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import weighted_relevance
 from hirank.dataset import RetrievalDataset
-from hirank.errors import InsufficientClassesError, NonFiniteLossError
+from hirank.errors import AllQueriesEmptyError, InsufficientClassesError, NonFiniteLossError
 from hirank.losses import LossGradients, SmoothHeavisideParams
 from hirank.synthgen import SynthSpec, generate
 from hirank.taxonomy import RelevanceProfile, parse_taxonomy
@@ -250,6 +250,20 @@ class TestInitState:
         assert state.eval_rows.dtype == np.int64
         assert state.eval_rows.tolist() == holdout
 
+    @pytest.mark.parametrize("holdout", [0.25, 0.0])
+    def test_rows_follow_the_split(self, holdout):
+        synth = toy_dataset(holdout=holdout)
+        order = np.random.default_rng(1).permutation(len(synth.ids))
+        ids = [synth.ids[i] for i in order]
+        ds = RetrievalDataset(synth.taxonomy, ids, synth.features[order], synth.holdout_classes)
+        state = init_state(ds, toy_config())
+        held = [ds.taxonomy.leaf(i) in ds.holdout_classes for i in ids]
+        train = [r for r, h in enumerate(held) if not h]
+        assert state.train_rows.dtype == state.eval_rows.dtype == np.int64
+        assert state.train_rows.tolist() == train
+        held_rows = [r for r, h in enumerate(held) if h]
+        assert state.eval_rows.tolist() == (held_rows if held_rows else train)
+
     def test_leaves_differing_by_a_trailing_nul_get_two_proxies(self):
         tax = parse_taxonomy("a1\tr/x\na2\tr/x\nb1\tr/x\x00\nb2\tr/x\x00\n")
         ds = RetrievalDataset(tax, ("a1", "a2", "b1", "b2"), np.eye(4))
@@ -487,6 +501,16 @@ class TestFit:
         fit(ds, toy_config(epochs=1), log=lines.append)
         assert len(lines) == 1
         assert "h_ap" in lines[0]
+
+    def test_an_eval_without_a_positive_fails_before_any_step(self, monkeypatch):
+        # the two held-out leaves, n0-1 and n3-1, share no level-1 label
+        ds = generate(SynthSpec(branching=(4, 2), instances_per_leaf=1, dim=4, seed=1))
+        assert ds.holdout_classes == {"n0-1", "n3-1"}
+        steps: list[int] = []
+        monkeypatch.setattr("hirank.trainer.train_step", lambda *args: steps.append(1))
+        with pytest.raises(AllQueriesEmptyError, match="no two of the 2 evaluation rows share a"):
+            fit(ds, toy_config(epochs=3, batch_size=4, m_per_class=1, eval_every=5))
+        assert steps == []
 
 
 class TestWriteResult:
