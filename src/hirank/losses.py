@@ -177,21 +177,6 @@ def _check_rows(scores: np.ndarray, relevance: np.ndarray) -> None:
 _CHUNK = 1 << 15
 
 
-def _first_at_least(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """The first index i in [lo, hi) with values[i] >= target, else hi.
-
-    One binary search per (lo, hi, target) triple, all run together; each
-    values[lo:hi] must be sorted ascending.
-    """
-    last = len(values) - 1
-    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
-        mid = (lo + hi) >> 1
-        below = (lo < hi) & (values[np.minimum(mid, last)] < target)
-        lo = np.where(below, mid + 1, lo)
-        hi = np.where(below, hi, mid)
-    return lo
-
-
 def _surrogate_rows(scores: np.ndarray, relevance: np.ndarray, params: SmoothHeavisideParams):
     """The surrogate of each (m, n) row, with its (m, n) score gradient.
 
@@ -205,10 +190,10 @@ def _surrogate_rows(scores: np.ndarray, relevance: np.ndarray, params: SmoothHea
     for each positive and each less relevant group of its row, the range
     from the first score at or above s_k - 40 tau to the group's end (the
     upper step's window and its linear tail), and the more relevant block
-    whole for the lower step. The equal group needs only its count of
-    strictly higher scores, which the sort gives. Rows go through in blocks
-    of at most `_CHUNK` cells, and a block's positives in row-major chunks
-    of at most `_CHUNK` gathered entries (or one positive).
+    whole for the lower step. One search over a (group, score) key finds
+    each range's start and each equal group's count of higher scores. Rows
+    go through in blocks of at most `_CHUNK` cells, and a block's positives
+    in row-major chunks of at most `_CHUNK` gathered entries (or one positive).
     """
     m, n = scores.shape
     values, d_scores = np.empty(m), np.empty((m, n))
@@ -233,23 +218,25 @@ def _surrogate_block(scores, relevance, params: SmoothHeavisideParams, floats, i
     order = np.lexsort((scores, relevance), axis=1)
     s = np.take_along_axis(scores, order, axis=1).ravel()
     r = np.take_along_axis(relevance, order, axis=1).ravel()
-    # runs of equal relevance (groups) and of equal (relevance, score); a row
-    # start opens both
+    # runs of equal relevance (groups); a row start opens one
     new_group = np.empty(m * n, dtype=bool)
     new_group[1:] = r[1:] != r[:-1]
     new_group[::n] = True
     group_start = np.flatnonzero(new_group)
     group_end = np.append(group_start[1:], m * n)
-    new_group[1:] |= s[1:] != s[:-1]
-    tie_start = np.flatnonzero(new_group)
-    tie_end = np.append(tie_start[1:], m * n)
+    # each entry's (group, score) as one complex key: numpy orders complex
+    # numbers by real, then imaginary part, so the key ascends along the block.
+    # The parts are assigned, as 1j * -inf has a nan real part
+    key = np.empty(m * n, dtype=np.complex128)
+    key.real = np.cumsum(new_group) - 1
+    key.imag = s
 
     k = np.flatnonzero(r > 0)  # the positives, row by row
     row = k // n
     s_k, r_k, total_k = s[k], r[k], total[row]
     group = np.searchsorted(group_start, k, side="right") - 1
     hi = group_end[group]
-    above_equal = hi - tie_end[np.searchsorted(tie_start, k, side="right") - 1]
+    above_equal = hi - np.searchsorted(key, key[k], side="right")
     low_len = (row + 1) * n - hi  # the more relevant block [hi, row end)
 
     # one upper range per (positive, less relevant group). float64 tanh is
@@ -261,8 +248,7 @@ def _surrogate_block(scores, relevance, params: SmoothHeavisideParams, floats, i
     pair_first = np.cumsum(lower) - lower
     pair_group = np.arange(len(pair_owner)) - np.repeat(pair_first - group + lower, lower)
     pair_end = group_end[pair_group]
-    pair_start = _first_at_least(s, group_start[pair_group], pair_end,
-                                 (s_k - 40.0 * params.tau)[pair_owner])
+    pair_start = np.searchsorted(key, pair_group + 1j * (s_k - 40.0 * params.tau)[pair_owner])
     up_len = pair_end - pair_start
     up_before = np.concatenate(([0], np.cumsum(up_len)))
 
