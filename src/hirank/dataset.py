@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
@@ -198,9 +197,14 @@ def read_file(path: Path, parse: Callable[[str], T]) -> T:
 
 
 def write_text_atomic(path: Path, text: str) -> None:
-    """Write UTF-8 via a temp file in the same directory, then rename over."""
+    """Write UTF-8 via a temp file in the same directory, then rename over.
+
+    The temp file is created, under a unique name, with the mode a plain
+    open(path, "w") gives a new file: 0o666 less the umask.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -1183,3 +1184,22 @@ def test_train_loads_neither_gradcheck_nor_synthgen(tmp_path):
     argv = train_argv(tmp_path, {"epochs": 1})
     assert loaded_modules(argv) == (
         0, {"numpy", "errors", "taxonomy", "dataset", "metrics", "losses", "trainer"})
+
+
+def test_every_output_gets_the_mode_of_a_plain_write(tmp_path, capsys):
+    """synth, eval and train create each file with 0o666 less the umask, as
+    open(path, "w") does, and leave the umask as they found it."""
+    umask = os.umask(0o027)
+    try:
+        data, config = write_train_inputs(tmp_path, {"epochs": 1})
+        out, report = tmp_path / "run", tmp_path / "report.json"
+        assert run(["train", "--data", str(data), "--config", str(config),
+                    "--out", str(out), "--quiet"]) == 0
+        tax, sco = write_eval_inputs(tmp_path)
+        assert run(["eval", "--taxonomy", str(tax), "--scores", str(sco),
+                    "--out", str(report)]) == 0
+    finally:
+        assert os.umask(umask) == 0o027
+    written = [data / TAXONOMY_FILE, data / FEATURES_FILE, data / SPLIT_FILE, report,
+               *(out / name for name in (HISTORY_FILE, EMBEDDINGS_FILE, STATE_FILE, REPORT_FILE))]
+    assert {str(p): stat.S_IMODE(p.stat().st_mode) for p in written} == {str(p): 0o640 for p in written}
