@@ -65,7 +65,9 @@ class EmptyLevelDivisionError(HirankError, ValueError):
 
 
 class ProfileDepthError(HirankError, ValueError):
-    """A weighted relevance profile has not one weight per taxonomy level."""
+    """A relevance profile does not fit the taxonomy's depth: a weighted
+    profile has not one weight per level, or an explicit table names a level
+    outside 0..depth or gives no level in 1..depth a positive relevance."""
 
 
 # --- metrics ------------------------------------------------------------------

@@ -112,10 +112,11 @@ class RelevanceProfile:
     def level_table(self, counts: np.ndarray, skip_empty: bool) -> np.ndarray:
         """Per-level relevance from per-level candidate counts, shape `(..., depth + 1)`.
 
-        A weighted profile needs one weight per level (else ProfileDepthError)
-        and divides by the number of candidates at level p or deeper: where
-        there are none it raises EmptyLevelDivisionError, or with `skip_empty`
-        drops that weight term.
+        A weighted profile needs one weight per level, and an explicit table
+        only levels in 0..depth, one of 1..depth with a positive relevance
+        (else ProfileDepthError). A weighted profile divides by the number of
+        candidates at level p or deeper: where there are none it raises
+        EmptyLevelDivisionError, or with `skip_empty` drops that weight term.
         """
         counts = np.asarray(counts)
         depth = counts.shape[-1] - 1
@@ -138,7 +139,13 @@ class RelevanceProfile:
             table[..., 1:] = np.cumsum(terms, axis=-1)
             return table
         if self.kind == "explicit":
+            outside = sorted(l for l in self.table if not 0 <= l <= depth)
+            if outside:
+                raise ProfileDepthError(f"profile table has level {outside[0]} for depth {depth}")
             row = [self.table.get(l, 0.0) for l in range(depth + 1)]
+            if not max(row) > 0:
+                raise ProfileDepthError(
+                    f"profile table gives no level in 1..{depth} a positive relevance")
             return np.broadcast_to(np.array(row), counts.shape)
         raise ValueError(f"unknown profile kind {self.kind!r}")
 

@@ -187,7 +187,7 @@ def _profile(spec: dict, depth: int) -> RelevanceProfile:
         raise ValueError(f"missing key {arg!r} in objective.profile")
     args = [spec[arg]] if arg in spec else []  # alpha left out keeps its default
     profile = _build("objective.profile", make, *args)
-    profile.level_table(np.zeros(depth + 1), skip_empty=True)  # checks the weight count
+    profile.level_table(np.zeros(depth + 1), skip_empty=True)  # checks it against the depth
     return profile
 
 

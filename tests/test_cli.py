@@ -517,6 +517,13 @@ OUT_OF_RANGE = [
      "objective.profile.table must map level 0 to relevance 0"),
     ("objective.profile.weights", profile(kind="weighted", weights=[math.nan, math.nan]),
      "objective.profile.weights must be non-empty and positive"),
+    # an explicit table must fit the dataset's depth, 2
+    ("objective.profile.table", profile(kind="explicit", table={"1": 0.5, "9": 1.0}),
+     "profile table has level 9 for depth 2"),
+    ("objective.profile.table", profile(kind="explicit", table={"-1": 0.5, "2": 1.0}),
+     "profile table has level -1 for depth 2"),
+    ("objective.profile.table", profile(kind="explicit", table={}),
+     "profile table gives no level in 1..2 a positive relevance"),
     ("objective.profile.table", profile(kind="explicit", table={"1": -1}),
      "objective.profile.table values must be non-negative and finite"),
     ("objective.profile.table", profile(kind="explicit", table={"1": math.nan}),

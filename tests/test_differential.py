@@ -368,8 +368,9 @@ def profiles(draw, depth: int) -> RelevanceProfile:
     if kind == "weighted":
         w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=depth, max_size=depth)))
         return RelevanceProfile.weighted_ap(tuple(w / w.sum()))
-    values = st.sampled_from([0.0, 0.25, 0.7, 1.0])
-    return RelevanceProfile.explicit({l: draw(values) for l in range(1, depth + 1)})
+    # a table gives some level in 1..depth a positive relevance
+    values = st.lists(st.sampled_from([0.0, 0.25, 0.7, 1.0]), min_size=depth, max_size=depth)
+    return RelevanceProfile.explicit(dict(enumerate(draw(values.filter(any)), start=1)))
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from hirank.errors import (
     EmptyLevelDivisionError,
     MalformedRecordError,
     NonTreeParentageError,
+    ProfileDepthError,
     QueryInCandidatesError,
     RaggedDepthError,
     TooFewLeavesError,
@@ -199,6 +202,16 @@ class TestRelevanceProfiles:
         # the level-1 candidate got relevance 0, so it is re-leveled to 0
         assert levels.tolist() == [0, 2]
         assert rel.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("table, message", [
+        ({1: 0.5, 9: 1.0}, "profile table has level 9 for depth 3"),
+        ({-1: 0.5, 3: 1.0}, "profile table has level -1 for depth 3"),
+        ({}, "profile table gives no level in 1..3 a positive relevance"),
+        ({1: 0.0, 3: 0.0}, "profile table gives no level in 1..3 a positive relevance"),
+    ])
+    def test_explicit_table_must_fit_the_depth(self, table, message):
+        with pytest.raises(ProfileDepthError, match=f"^{re.escape(message)}$"):
+            RelevanceProfile.explicit(table).level_table(np.zeros(4), skip_empty=True)
 
     def test_fine_only_is_explicit_last_level(self):
         profile = RelevanceProfile.fine_only(3)
