@@ -22,8 +22,8 @@ _EXPORTS = {
     "errors": ("HirankError",),
     "taxonomy": ("Taxonomy", "RelevanceProfile", "parse_taxonomy", "assign_relevance"),
     "metrics": (
-        "ScoredRanking", "MetricsReport", "rank_of", "h_rank", "h_ap", "ap_level", "h_pr_at_k",
-        "h_ap_pr_oracle", "asi", "ndcg", "recall_at_k", "evaluate_dataset",
+        "ScoredRanking", "MetricsReport", "h_rank", "h_ap", "ap_level", "asi", "ndcg",
+        "recall_at_k", "evaluate_dataset",
     ),
     "losses": (
         "SmoothHeavisideParams", "heaviside_lower", "heaviside_upper", "hap_surrogate",

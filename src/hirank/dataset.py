@@ -200,13 +200,16 @@ def write_text_atomic(path: Path, text: str) -> None:
     """Write UTF-8 via a temp file in the same directory, then rename over.
 
     The temp file is created, under a unique name, with the mode a plain
-    open(path, "w") gives a new file: 0o666 less the umask.
+    open(path, "w") gives: a file it replaces keeps its mode, and a new file
+    gets 0o666 less the umask.
     """
     path = Path(path)
     tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            if path.exists():
+                os.fchmod(fd, path.stat().st_mode & 0o7777)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

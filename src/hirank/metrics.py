@@ -80,10 +80,6 @@ class ScoredRanking:
     def positive_mask(self) -> np.ndarray:
         return self.levels > 0
 
-    def sorted_order(self) -> list[int]:
-        """Candidate indices by descending score, ties by ascending id."""
-        return _rows_of(self).order[0].tolist()
-
 
 class _Rows(NamedTuple):
     """(rows, n) arrays of equal-length lists in list order."""
@@ -163,13 +159,6 @@ def _require_positives(r: ScoredRanking) -> None:
         raise NoPositivesError(f"query {r.query_id!r} has no positive candidate")
 
 
-def rank_of(r: ScoredRanking, k: int) -> float:
-    """1 + the number of candidates scored strictly above k."""
-    if not 0 <= k < len(r):
-        raise IndexOutOfRangeError(k)
-    return 1.0 + float((r.scores > r.scores[k]).sum())
-
-
 def h_rank(r: ScoredRanking, k: int) -> float:
     """Graded rank of positive candidate k.
 
@@ -209,45 +198,6 @@ def ap_level(r: ScoredRanking, level: int) -> float:
     if not np.any(r.levels >= level):
         raise NoPositivesError(f"query {r.query_id!r} has no candidate at level >= {level}")
     return float(_ap_level_rows(_rows_of(r), level)[0])
-
-
-def h_pr_at_k(r: ScoredRanking, k: int) -> tuple[float, float]:
-    """Graded recall and precision at list position k (1-based).
-
-    Recall@k is the relevance mass of the first k items over the total mass;
-    precision@k compares each of the first k items against the k-th via
-    min(rel(j), rel(k)), normalized by k*rel(k). At a negative k-th item the
-    precision is reported as 0.
-    """
-    _require_positives(r)
-    if not 1 <= k <= len(r):
-        raise IndexOutOfRangeError(k)
-    rel = r.relevance[r.sorted_order()]
-    recall = float(rel[:k].sum() / rel.sum())
-    if rel[k - 1] == 0:
-        return recall, 0.0
-    precision = float(np.minimum(rel[:k], rel[k - 1]).sum() / (k * rel[k - 1]))
-    return recall, precision
-
-
-def h_ap_pr_oracle(r: ScoredRanking) -> float:
-    """Graded AP as the area under the graded precision-recall curve.
-
-    Sums (recall@k - recall@(k-1)) * precision@k over list positions; only
-    positive positions contribute a recall increment. Serves as an
-    independent cross-check of h_ap.
-    """
-    _require_positives(r)
-    rel = r.relevance[r.sorted_order()]
-    total = rel.sum()
-    area = 0.0
-    for k in range(1, len(rel) + 1):
-        if rel[k - 1] == 0:
-            continue
-        increment = rel[k - 1] / total
-        precision = np.minimum(rel[:k], rel[k - 1]).sum() / (k * rel[k - 1])
-        area += increment * precision
-    return float(area)
 
 
 def asi(r: ScoredRanking) -> float:

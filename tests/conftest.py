@@ -2,7 +2,9 @@
 
 The oracles here are deliberately written as plain loops over the metric
 definitions, sharing no code with the library, so that agreement between
-the two is evidence rather than tautology.
+the two is evidence rather than tautology. `sorted_order` is the one helper
+that reads the library: it gives the library's list order, for the tests
+that hold it to `oracle_list_order`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hirank.metrics import ScoredRanking
+from hirank import metrics
+from hirank.errors import IndexOutOfRangeError
+from hirank.metrics import ScoredRanking, _require_positives
 
 # one pass/fail line per acceptance criterion, printed after the run
 ACCEPTANCE_LINES: list[str] = []
@@ -202,6 +206,57 @@ def oracle_ndcg(scores: np.ndarray, levels: np.ndarray) -> float:
 def oracle_list_order(scores: np.ndarray, ids) -> list[int]:
     """Descending score, ties by ascending id."""
     return sorted(range(len(scores)), key=lambda i: (-float(scores[i]), ids[i]))
+
+
+def sorted_order(r: ScoredRanking) -> list[int]:
+    """The library's list order for r, to compare with oracle_list_order."""
+    return metrics._rows_of(r).order[0].tolist()
+
+
+def rank_of(r: ScoredRanking, k: int) -> float:
+    """1 + the number of candidates scored strictly above k."""
+    if not 0 <= k < len(r):
+        raise IndexOutOfRangeError(k)
+    return 1.0 + float((r.scores > r.scores[k]).sum())
+
+
+def h_pr_at_k(r: ScoredRanking, k: int) -> tuple[float, float]:
+    """Graded recall and precision at list position k (1-based).
+
+    Recall@k is the relevance mass of the first k items over the total mass;
+    precision@k compares each of the first k items against the k-th via
+    min(rel(j), rel(k)), normalized by k*rel(k). At a negative k-th item the
+    precision is reported as 0.
+    """
+    _require_positives(r)
+    if not 1 <= k <= len(r):
+        raise IndexOutOfRangeError(k)
+    rel = r.relevance[oracle_list_order(r.scores, r.candidate_ids)]
+    recall = float(rel[:k].sum() / rel.sum())
+    if rel[k - 1] == 0:
+        return recall, 0.0
+    precision = float(np.minimum(rel[:k], rel[k - 1]).sum() / (k * rel[k - 1]))
+    return recall, precision
+
+
+def h_ap_pr_oracle(r: ScoredRanking) -> float:
+    """Graded AP as the area under the graded precision-recall curve.
+
+    Sums (recall@k - recall@(k-1)) * precision@k over list positions; only
+    positive positions contribute a recall increment. Serves as an
+    independent cross-check of h_ap.
+    """
+    _require_positives(r)
+    rel = r.relevance[oracle_list_order(r.scores, r.candidate_ids)]
+    total = rel.sum()
+    area = 0.0
+    for k in range(1, len(rel) + 1):
+        if rel[k - 1] == 0:
+            continue
+        increment = rel[k - 1] / total
+        precision = np.minimum(rel[:k], rel[k - 1]).sum() / (k * rel[k - 1])
+        area += increment * precision
+    return float(area)
 
 
 def oracle_recall_at_k(scores: np.ndarray, ids, levels: np.ndarray, k: int, level: int) -> int:

@@ -19,13 +19,14 @@ import pytest
 
 from conftest import (
     ACCEPTANCE_LINES,
+    h_ap_pr_oracle,
     make_ranking,
     oracle_binary_ap,
 )
 from hirank.cli import main
 from hirank.gradcheck import run_checks
 from hirank.losses import hap_surrogate
-from hirank.metrics import ScoredRanking, ap_level, h_ap, h_ap_pr_oracle, h_rank
+from hirank.metrics import ScoredRanking, ap_level, h_ap, h_rank
 from hirank.synthgen import SynthSpec, generate
 from hirank.taxonomy import RelevanceProfile
 from hirank.trainer import HISTORY_FILE, TrainerConfig, fit

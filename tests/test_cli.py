@@ -1193,20 +1193,38 @@ def test_train_loads_neither_gradcheck_nor_synthgen(tmp_path):
         0, {"numpy", "errors", "taxonomy", "dataset", "metrics", "losses", "trainer"})
 
 
+def write_every_output(tmp_path):
+    """Run synth, train and eval into tmp_path; return every file they write."""
+    data, config = write_train_inputs(tmp_path, {"epochs": 1})
+    out, report = tmp_path / "run", tmp_path / "report.json"
+    assert run(["train", "--data", str(data), "--config", str(config),
+                "--out", str(out), "--quiet"]) == 0
+    tax, sco = write_eval_inputs(tmp_path)
+    assert run(["eval", "--taxonomy", str(tax), "--scores", str(sco),
+                "--out", str(report)]) == 0
+    return [data / TAXONOMY_FILE, data / FEATURES_FILE, data / SPLIT_FILE, report,
+            *(out / name for name in (HISTORY_FILE, EMBEDDINGS_FILE, STATE_FILE, REPORT_FILE))]
+
+
 def test_every_output_gets_the_mode_of_a_plain_write(tmp_path, capsys):
     """synth, eval and train create each file with 0o666 less the umask, as
     open(path, "w") does, and leave the umask as they found it."""
     umask = os.umask(0o027)
     try:
-        data, config = write_train_inputs(tmp_path, {"epochs": 1})
-        out, report = tmp_path / "run", tmp_path / "report.json"
-        assert run(["train", "--data", str(data), "--config", str(config),
-                    "--out", str(out), "--quiet"]) == 0
-        tax, sco = write_eval_inputs(tmp_path)
-        assert run(["eval", "--taxonomy", str(tax), "--scores", str(sco),
-                    "--out", str(report)]) == 0
+        written = write_every_output(tmp_path)
     finally:
         assert os.umask(umask) == 0o027
-    written = [data / TAXONOMY_FILE, data / FEATURES_FILE, data / SPLIT_FILE, report,
-               *(out / name for name in (HISTORY_FILE, EMBEDDINGS_FILE, STATE_FILE, REPORT_FILE))]
     assert {str(p): stat.S_IMODE(p.stat().st_mode) for p in written} == {str(p): 0o640 for p in written}
+
+
+def test_a_replaced_output_keeps_its_mode(tmp_path, capsys):
+    """Run again over their own outputs set to 0o600, synth, eval and train
+    keep that mode, as open(path, "w") does, whatever the umask."""
+    umask = os.umask(0o022)
+    try:
+        for path in write_every_output(tmp_path):
+            path.chmod(0o600)
+        written = write_every_output(tmp_path)
+    finally:
+        os.umask(umask)
+    assert {str(p): stat.S_IMODE(p.stat().st_mode) for p in written} == {str(p): 0o600 for p in written}

@@ -67,6 +67,7 @@ from conftest import (
     oracle_records,
     oracle_relevance_rows,
     per_query,
+    sorted_order,
     weighted_relevance,
 )
 from hirank import dataset, losses, metrics, taxonomy
@@ -148,7 +149,7 @@ def test_every_kernel_matches_its_oracle(r):
     assert h_ap(r) == pytest.approx(oracle_h_ap(r.scores, r.relevance), abs=1e-12)
     assert ndcg(r) == pytest.approx(oracle_ndcg(r.scores, r.levels), abs=1e-12)
     assert asi(r) == pytest.approx(oracle_asi(r.scores, r.candidate_ids, r.levels), abs=1e-12)
-    assert r.sorted_order() == oracle_list_order(r.scores, r.candidate_ids)
+    assert sorted_order(r) == oracle_list_order(r.scores, r.candidate_ids)
     for level in range(1, int(r.levels.max()) + 1):
         assert ap_level(r, level) == pytest.approx(
             oracle_ap_level(r.scores, r.levels, level), abs=1e-12
@@ -224,7 +225,7 @@ def test_dataset_rows_match_the_oracles(queries, depth, chunk):
         assert sorted(row) == sorted(expected)
         for key, value in expected.items():
             assert row[key] == pytest.approx(value, abs=1e-12), key
-        assert r.sorted_order() == oracle_list_order(s, ids)
+        assert sorted_order(r) == oracle_list_order(s, ids)
     rows = list(per_query(report).values())
     assert report.mean("h_ap") == pytest.approx(np.mean([row["h_ap"] for row in rows]), abs=1e-12)
 

@@ -10,9 +10,13 @@ import pytest
 from conftest import (
     alpha_relevance,
     distinct_scores,
+    h_ap_pr_oracle,
+    h_pr_at_k,
     make_ranking,
     oracle_binary_ap,
     oracle_h_ap,
+    rank_of,
+    sorted_order,
 )
 from hirank.dataset import TextFile, read_text
 from hirank.errors import (
@@ -32,11 +36,8 @@ from hirank.metrics import (
     asi,
     evaluate_dataset,
     h_ap,
-    h_ap_pr_oracle,
-    h_pr_at_k,
     h_rank,
     ndcg,
-    rank_of,
     read_scores,
     recall_at_k,
 )
@@ -90,12 +91,12 @@ class TestScoredRanking:
             np.array([1.0, 1.0, 1.0]),
             np.array([1, 1, 1]),
         )
-        assert [r.candidate_ids[i] for i in r.sorted_order()] == ["c", "a", "b"]
+        assert [r.candidate_ids[i] for i in sorted_order(r)] == ["c", "a", "b"]
 
     def test_sorted_order_breaks_ties_by_the_exact_id(self):
         # "a" sorts before "a\x00"; numpy string arrays drop the NUL and tie them
         r = ScoredRanking("q", ("a\x00", "a"), [1, 1], [1, 0], [1, 0])
-        assert r.sorted_order() == [1, 0]
+        assert sorted_order(r) == [1, 0]
 
 
 class TestRankOf:
@@ -211,7 +212,7 @@ class TestHAp:
         # demoting a positive below a negative never increases h_ap
         for _ in range(50):
             r = make_ranking(rng, 10, 3)
-            order = r.sorted_order()
+            order = sorted_order(r)
             swap = None
             for a, b in zip(order, order[1:]):
                 if r.levels[a] > 0 and r.levels[b] == 0:

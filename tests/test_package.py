@@ -3,6 +3,7 @@ exported name and every submodule is imported when it is first read."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 
 import hirank
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 MODULES = sorted(path.stem for path in (SRC / "hirank").glob("*.py") if path.stem != "__init__")
 
 # after a bare `import hirank`: the hirank modules loaded, then each submodule
@@ -58,3 +60,12 @@ def test_dir_lists_every_exported_name_and_submodule():
     listed = dir(hirank)
     assert listed == sorted(listed)
     assert set(hirank.__all__) | set(MODULES) <= set(listed)
+
+
+def test_the_readme_names_every_exported_name_as_code():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    # the inline code spans, outside the fenced blocks
+    prose = re.sub(r"^```.*?^```", "", readme, flags=re.S | re.M)
+    code = "\n".join(re.findall(r"`([^`]+)`", prose))
+    missing = [name for name in hirank.__all__ if not re.search(rf"\b{name}\b", code)]
+    assert missing == []
