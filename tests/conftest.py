@@ -1,10 +1,10 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles here are deliberately written as plain loops over the metric
-definitions, sharing no code with the library, so that agreement between
-the two is evidence rather than tautology. `sorted_order` is the one helper
-that reads the library: it gives the library's list order, for the tests
-that hold it to `oracle_list_order`.
+definitions, sharing no code with the library beyond its input checks, so
+that agreement between the two is evidence rather than tautology.
+`sorted_order` is the one helper that reads the library: it gives the
+library's list order, for the tests that hold it to `oracle_list_order`.
 """
 
 from __future__ import annotations
