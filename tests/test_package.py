@@ -42,6 +42,19 @@ def test_every_exported_name_resolves_to_its_definition(name):
     assert getattr(sys.modules[value.__module__], name) is value
 
 
+# names the README declares gone from the library; their oracles live in tests/conftest.py
+REMOVED = ["rank_of", "h_pr_at_k", "h_ap_pr_oracle", "ScoredRanking.sorted_order"]
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_a_removed_name_is_gone_from_the_library(name):
+    from hirank import metrics
+    owner, _, attr = name.rpartition(".")
+    assert attr not in hirank.__all__
+    assert not hasattr(hirank, attr)
+    assert not hasattr(getattr(metrics, owner) if owner else metrics, attr)
+
+
 def test_star_import_gives_every_exported_name():
     namespace = {}
     exec("from hirank import *", namespace)
