@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, filterfalse
+from itertools import count, filterfalse, islice
 from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
@@ -42,6 +42,7 @@ from .taxonomy import Taxonomy, _record_blocks, ancestor_levels, records, string
 
 # rows x candidates per evaluated chunk: it bounds every kernel's temporaries
 _CHUNK = 8192
+_LAYOUT = "query<TAB>candidate<TAB>score"
 
 
 @dataclass(frozen=True)
@@ -384,10 +385,10 @@ def read_scores(source: str | Iterable[str], taxonomy: Taxonomy) -> ScoreTable:
     `source` is a text, or line-aligned blocks of one that can be read twice (a
     `dataset.TextFile`): one pass counts the lines to size the columns, the next
     fills them a block at a time (see `_record_blocks`), and `ancestor_levels`
-    then compares query and candidate rows.
-    Errors come in this order: a byte that is not UTF-8; the first malformed line, bad
-    score or id the taxonomy lacks, at its line; then the first score that is not finite
-    or repeated (query, candidate) pair, at its line; then a query among its own candidates.
+    then compares query and candidate rows. Only a text with an error is read again, by `records`
+    up to its line. Errors come in this order: a byte that is not UTF-8; the first malformed line,
+    bad score or id the taxonomy lacks, at its line; then the first score that is not finite or
+    repeated (query, candidate) pair, at its line; then a query among its own candidates.
     """
     blocks = [source] if isinstance(source, str) else source
     size = sum(block.count("\n") for block in blocks) + 1  # at least the number of rows
@@ -409,9 +410,17 @@ def read_scores(source: str | Iterable[str], taxonomy: Taxonomy) -> ScoreTable:
     if not number:
         raise EmptyInputError("no score rows")
     query, candidate, score = query[:end], candidate[:end], score[:end]
-    repeated = not np.diff(np.sort(query * len(row_of) + candidate)).all()
-    if repeated or not np.isfinite(score).all():
-        _raise_score_error(blocks, row_of)
+    pairs, finite = query * len(row_of) + candidate, np.isfinite(score)
+    if not (np.diff(np.sort(pairs)).all() and finite.all()):
+        # a stable sort keeps equal pairs in file order: each after the first repeats it
+        order = np.argsort(pairs, kind="stable")
+        repeat = np.zeros(end, dtype=bool)
+        repeat[order[1:]] = np.diff(pairs[order]) == 0
+        row = int(np.argmax(repeat | ~finite))
+        lineno, (q, c, s) = next(islice(records(blocks, _LAYOUT), row, None))
+        if not finite[row]:
+            raise MalformedRecordError(f"line {lineno}: score {s!r} is not finite")
+        raise DuplicateInstanceError(f"line {lineno}: candidate {c!r} repeated for query {q!r}")
     own = query[candidate == query_rows[query]]
     if len(own):
         raise QueryInCandidatesError(list(number)[own.min()])
@@ -420,32 +429,20 @@ def read_scores(source: str | Iterable[str], taxonomy: Taxonomy) -> ScoreTable:
     query = query[order]
     candidate = candidate[order]
     score = score[order]
-    del order  # the levels below are the reader's memory peak
+    del order, pairs, finite  # the levels below are the reader's memory peak
     levels = ancestor_levels(taxonomy.row_codes, query_rows[query], candidate)
     return ScoreTable(list(number), query, candidate, score, levels)
 
 
 def _raise_score_error(blocks: Iterable[str], row_of: Mapping[str, int]) -> NoReturn:
-    """Raise the first error of a scores text that holds one, in `read_scores`' order."""
-    late, seen, start = None, set(), 1  # a block at a time, each pair seen as one int
-    for block in blocks:
-        lines = records(block, "query<TAB>candidate<TAB>score", start)
-        for lineno, (query, candidate, score) in lines:
-            try:
-                value = float(score)
-            except ValueError:
-                raise MalformedRecordError(f"line {lineno}: bad score {score!r}") from None
-            if query not in row_of:
-                raise UnknownInstanceError(query)
-            if candidate not in row_of:
-                raise UnknownInstanceError(candidate)
-            pair = row_of[query] * len(row_of) + row_of[candidate]
-            if late is None and not math.isfinite(value):
-                late = MalformedRecordError(f"line {lineno}: score {score!r} is not finite")
-            if late is None and pair in seen:
-                late = DuplicateInstanceError(
-                    f"line {lineno}: candidate {candidate!r} repeated for query {query!r}"
-                )
-            seen.add(pair)
-        start += block.count("\n")
-    raise late
+    """Raise the first malformed line, bad score or unknown id of a scores text."""
+    for lineno, (query, candidate, score) in records(blocks, _LAYOUT):
+        try:
+            float(score)
+        except ValueError:
+            raise MalformedRecordError(f"line {lineno}: bad score {score!r}") from None
+        if query not in row_of:
+            raise UnknownInstanceError(query)
+        if candidate not in row_of:
+            raise UnknownInstanceError(candidate)
+    raise AssertionError("the bulk read failed on a scores text without an error")

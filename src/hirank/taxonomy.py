@@ -175,22 +175,24 @@ def ancestor_levels(codes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
     return level
 
 
-def records(text: str, layout: str, start: int = 1) -> Iterator[tuple[int, list[str]]]:
+def records(text: str | Iterable[str], layout: str) -> Iterator[tuple[int, list[str]]]:
     """Yield `(line number, fields)` per non-blank line, trailing carriage returns stripped.
 
-    Lines are numbered from `start`. A line with an empty field or another
-    field count than `layout` (e.g. "id<TAB>path") raises MalformedRecordError
-    naming its number.
+    `text` is a text or its line-aligned blocks, numbered across them from 1. A line
+    with an empty field or another field count than `layout` (e.g. "id<TAB>path")
+    raises MalformedRecordError naming its number.
     """
-    width = layout.count("<TAB>") + 1
-    for lineno, raw in enumerate(text.split("\n"), start=start):
-        line = raw.rstrip("\r")
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != width or "" in fields:
-            raise MalformedRecordError(f"line {lineno}: expected {layout!r}, got {line!r}")
-        yield lineno, fields
+    width, lineno = layout.count("<TAB>") + 1, 1
+    for block in [text] if isinstance(text, str) else text:
+        # a block's last piece, empty after its closing newline, numbers the next block's first line
+        for lineno, raw in enumerate(block.split("\n"), start=lineno):
+            line = raw.rstrip("\r")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != width or "" in fields:
+                raise MalformedRecordError(f"line {lineno}: expected {layout!r}, got {line!r}")
+            yield lineno, fields
 
 
 def _record_blocks(texts: Iterable[str], width: int) -> Iterator[list[list[str]]]:
