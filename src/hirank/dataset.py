@@ -201,9 +201,10 @@ def write_text_atomic(path: Path, text: str) -> None:
 
     The temp file is created, under a unique name, with the mode a plain
     open(path, "w") gives: a file it replaces keeps its mode, and a new file
-    gets 0o666 less the umask.
+    gets 0o666 less the umask. As that open does, a symlink is written through:
+    the temp file goes beside the link's target and is renamed over it.
     """
-    path = Path(path)
+    path = Path(os.path.realpath(path))
     tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

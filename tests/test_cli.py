@@ -1228,3 +1228,19 @@ def test_a_replaced_output_keeps_its_mode(tmp_path, capsys):
     finally:
         os.umask(umask)
     assert {str(p): stat.S_IMODE(p.stat().st_mode) for p in written} == {str(p): 0o600 for p in written}
+
+
+def test_an_output_that_is_a_symlink_is_written_through(tmp_path, capsys):
+    """eval --out a link writes the link's target, as open(path, "w") does: the
+    link stays a link, and the target holds the report and keeps its mode."""
+    tax, sco = write_eval_inputs(tmp_path)
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_text("old\n")
+    real.chmod(0o600)
+    link.symlink_to("real.json")
+    assert run(["eval", "--taxonomy", str(tax), "--scores", str(sco), "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == "real.json"
+    assert abs(json.loads(real.read_text())["h_ap"] - 0.875) < 1e-12
+    assert stat.S_IMODE(real.stat().st_mode) == 0o600
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [tax.name, sco.name, "real.json", "link.json"])
