@@ -32,7 +32,8 @@ The line reader `records` and the four text parsers built on it are checked
 against a plain line loop on generated texts with blank lines, CRLF and lone
 trailing CR line ends, empty fields, a field too many or too few, repeated
 ids and non-ASCII ids: the records accepted, the exception class and the
-line it names must match. A file's line-aligned blocks (`dataset.TextFile`),
+line it names must match, and `records` must read the same from the text
+split at random line ends into blocks. A file's line-aligned blocks (`dataset.TextFile`),
 joined, must equal its text-mode read, or fail at the same byte, for random
 bytes with CR, LF, multi-byte and invalid sequences at reads of 1-64 bytes.
 The blocked scores reader is checked the same way
@@ -809,14 +810,20 @@ def test_records_match_the_oracle(data, kind):
     text = data.draw(record_texts(values))
     layout = "<TAB>".join(f"f{i}" for i in range(len(values)))
     accepted, bad = oracle_records(text, len(values))
-    got = []
-    reader = records(text, layout)
-    if bad is None:
-        got.extend(reader)
-    else:
-        with pytest.raises(MalformedRecordError, match=f"^line {bad}: expected '{layout}', got "):
+    # the same text as line-aligned blocks, split after some of its newlines
+    ends = [i + 1 for i, char in enumerate(text) if char == "\n"]
+    cuts = sorted(data.draw(st.sets(st.sampled_from(ends))) if ends else [])
+    blocks = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+    assert "".join(blocks) == text
+    for source in (text, blocks):
+        got = []
+        reader = records(source, layout)
+        if bad is None:
             got.extend(reader)
-    assert got == accepted
+        else:
+            with pytest.raises(MalformedRecordError, match=f"^line {bad}: expected '{layout}', got "):
+                got.extend(reader)
+        assert got == accepted
 
 
 @DIFFERENTIAL

@@ -695,3 +695,68 @@ class TestParseScores:
         finally:
             tracemalloc.stop()
         assert peak < 4 * path.stat().st_size
+
+    @pytest.mark.parametrize("last, error, message", [
+        ("img00319\timg00318\tx\n", MalformedRecordError, "line 102080: bad score 'x'"),
+        ("img00319\timg00318\tnan\n", MalformedRecordError,
+         "line 102080: score 'nan' is not finite"),
+        ("img00000\timg00001\t2\n", DuplicateInstanceError,
+         "line 102080: candidate 'img00001' repeated for query 'img00000'"),
+    ])
+    def test_an_error_on_the_last_line_of_an_all_pairs_file_peaks_under_twice_its_bytes(
+        self, tmp_path, last, error, message
+    ):
+        # a late error is found in the columns already read, and only its line is read
+        # again: about 1.6x (1.0x for a bad score, which stops the bulk read), against
+        # 3.1x when every line is checked again and each pair seen is kept in a set
+        pairs = list(permutations(ALL_PAIRS_IDS, 2))
+        path = tmp_path / "scores.tsv"
+        path.write_text("".join(f"{q}\t{c}\t{math.sin(k)!r}\n"
+                                for k, (q, c) in enumerate(pairs[:-1])) + last)
+        ALL_PAIRS_TAXONOMY.row_codes  # built once, outside the measurement
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=f"^{message}$"):
+                read_scores(TextFile(path), ALL_PAIRS_TAXONOMY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * path.stat().st_size
+
+
+class CountedBlocks:
+    """A file's blocks (`TextFile`), counting the passes over them and the blocks each yields."""
+
+    def __init__(self, path):
+        self.file = TextFile(path)
+        self.passes: list[int] = []
+
+    def __iter__(self):
+        self.passes.append(0)
+        for block in self.file:
+            self.passes[-1] += 1
+            yield block
+
+
+class TestScoresPasses:
+    def test_a_valid_file_is_read_twice(self, tmp_path):
+        # once to count the lines, once to fill the columns
+        path = tmp_path / "scores.tsv"
+        path.write_text("\n".join(block_lines()) + "\n")
+        blocks = CountedBlocks(path)
+        assert len(read_scores(blocks, BLOCK_TAXONOMY).query) == len(block_lines())
+        assert len(blocks.passes) == 2 and blocks.passes[0] == blocks.passes[1] >= 8
+
+    def test_a_repeat_in_the_first_block_is_named_from_that_block_alone(self, tmp_path):
+        lines = block_lines()
+        lines[3] = lines[0].rsplit("\t", 1)[0] + "\t2"
+        path = tmp_path / "scores.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        blocks = CountedBlocks(path)
+        query, candidate = lines[0].split("\t")[:2]
+        with pytest.raises(DuplicateInstanceError,
+                           match=f"^line 4: candidate '{candidate}' repeated for query '{query}'$"):
+            read_scores(blocks, BLOCK_TAXONOMY)
+        # the bulk check reads every block and finds the repeat; only its line is read again
+        assert len(blocks.passes) == 3 and blocks.passes[0] == blocks.passes[1] >= 8
+        assert blocks.passes[2] == 1
