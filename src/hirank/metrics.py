@@ -421,6 +421,7 @@ def read_scores(source: str | Iterable[str], taxonomy: Taxonomy) -> ScoreTable:
         if not finite[row]:
             raise MalformedRecordError(f"line {lineno}: score {s!r} is not finite")
         raise DuplicateInstanceError(f"line {lineno}: candidate {c!r} repeated for query {q!r}")
+    del pairs, finite
     own = query[candidate == query_rows[query]]
     if len(own):
         raise QueryInCandidatesError(list(number)[own.min()])
@@ -429,7 +430,7 @@ def read_scores(source: str | Iterable[str], taxonomy: Taxonomy) -> ScoreTable:
     query = query[order]
     candidate = candidate[order]
     score = score[order]
-    del order, pairs, finite  # the levels below are the reader's memory peak
+    del order  # the levels below are the reader's memory peak
     levels = ancestor_levels(taxonomy.row_codes, query_rows[query], candidate)
     return ScoreTable(list(number), query, candidate, score, levels)
 
@@ -445,4 +446,3 @@ def _raise_score_error(blocks: Iterable[str], row_of: Mapping[str, int]) -> NoRe
             raise UnknownInstanceError(query)
         if candidate not in row_of:
             raise UnknownInstanceError(candidate)
-    raise AssertionError("the bulk read failed on a scores text without an error")
